@@ -88,6 +88,7 @@ from .harness import (
     DEFAULT_LEASE_TIMEOUT,
     ExperimentRunner,
     FaultPolicy,
+    SuiteOutcome,
     accuracy_experiment,
     build_leaderboard,
     campaign_experiment,
@@ -335,7 +336,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload_scale=args.scale, methods=_methods_of(args)
     )
     config = _config_of(args.config)
+    # One run, not a suite (no retries, no journal: library errors keep
+    # their own exit codes), but timed and reported like one.
+    began = time.perf_counter()
     run = runner.run_benchmark(benchmark, config)
+    runner.timing.wall_seconds += time.perf_counter() - began
     print(f"{benchmark} on {config.name}: baseline CPI "
           f"{run.baseline.cpi:.3f}, L1 {run.baseline.l1_hit_rate:.4f}, "
           f"L2 {run.baseline.l2_hit_rate:.4f}")
@@ -362,7 +367,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rows,
     ))
     _emit_timing(runner, args)
-    _emit_obs(runner, args, config=config, names=[benchmark])
+    _emit_obs(runner, args, config=config, names=[benchmark],
+              outcome=SuiteOutcome([run]))
     _append_history(
         runner, args, kind="run", config=config, names=[benchmark],
         runs=[run],

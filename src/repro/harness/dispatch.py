@@ -1,21 +1,25 @@
-"""Distributed campaign dispatcher: lease-based work over stdio workers.
+"""Campaign pools: the execution backends of a suite, and their transports.
 
-Two pool backends behind one interface drive a suite's (benchmark,
-config) tasks:
+A :class:`Pool` picks the transport a suite's (benchmark, config)
+attempts launch on; the one suite driver
+(:func:`repro.harness.recovery.run_tasks`) owns everything else —
+attempts, backoff, retries, failure accounting, obs merging, journal
+hooks.  Two pools, three transports:
 
-* :class:`LocalPool` — the existing in-process
-  ``ProcessPoolExecutor`` path (:mod:`repro.harness.parallel`),
-  unchanged semantics;
+* :class:`LocalPool` — in-process
+  (:class:`~repro.harness.recovery.InProcess`) for one effective job or
+  one task, otherwise a ``ProcessPoolExecutor``
+  (:class:`~repro.harness.parallel.ProcessPoolTransport`);
 * :class:`DispatchPool` — subprocess workers launched via a
   configurable launcher command (default ``python -m
   repro.harness.worker``, so an SSH or cluster launcher is just a
   command prefix) speaking the versioned JSONL protocol of
   :mod:`repro.harness.worker` over stdin/stdout.
 
-Task ownership in the dispatch backend is **lease-based**: the
+Task ownership in the dispatch transport is **lease-based**: the
 dispatcher hands each worker a (run spec, lease, deadline) tuple,
-workers heartbeat while executing, and the monitor loop reclaims and
-re-queues any task whose lease expires — missed heartbeats, a dead
+workers heartbeat while executing, and the monitor sweep reclaims and
+reports any task whose lease expires — missed heartbeats, a dead
 process, an injected partition.  Idle workers steal reclaimed work.
 Results commit **at-most-once**: a lease that was reclaimed can no
 longer commit (the stale result is counted and discarded), so a
@@ -23,10 +27,12 @@ partitioned or slow worker finishing late cannot double-commit a run
 into the :class:`~repro.harness.recovery.SuiteJournal`; re-execution of
 a reclaimed task is idempotent because every run is a pure function of
 its spec and lands in the shared :class:`~repro.harness.cache
-.ResultCache`.  The invariant the tests pin: serial == pooled ==
-dispatched output, byte-identical, including under every injected
-dispatch fault (``worker_exit``, ``heartbeat_drop``, ``partition``,
-``stale_commit`` — see :mod:`repro.harness.faults`).
+.ResultCache`.  Leases stay specific to this transport: a process-pool
+future can never go stale, so there is nothing to reclaim.  The
+invariant the tests pin: in-process == pooled == dispatched output,
+byte-identical, including under every injected dispatch fault
+(``worker_exit``, ``heartbeat_drop``, ``partition``, ``stale_commit`` —
+see :mod:`repro.harness.faults`).
 
 The lease bookkeeping itself lives in :class:`LeaseTable`, a pure
 state machine (grant / renew / sweep / reclaim / settle) so property
@@ -50,6 +56,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
+from ..config import MachineConfig
 from ..errors import DispatchError, HarnessError
 from ..obs import (
     DISPATCH_HEARTBEATS,
@@ -59,31 +66,25 @@ from ..obs import (
     DISPATCH_RECLAIMS,
     DISPATCH_STALE_COMMITS,
     DISPATCH_STEALS,
-    RETRY_BACKOFF_SECONDS,
-    RUN_FAILURES,
-    RUN_RETRIES,
-    RUN_TIMEOUTS,
-    RUNS_COMPLETED,
-    WORKER_CRASHES,
     MetricsRegistry,
 )
+from .parallel import ProcessPoolTransport, resolve_jobs, worker_attempt
 from .recovery import (
     DEFAULT_POLICY,
+    Attempt,
     FaultPolicy,
+    InProcess,
     RunFailure,
     SuiteOutcome,
-    assemble_outcome,
+    Transport,
+    run_tasks,
 )
-from .timing import SuiteTiming
 from .worker import PROTOCOL_VERSION, encode_task_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import BenchmarkRun, ExperimentRunner
 
 logger = logging.getLogger(__name__)
-
-#: One suite task: a benchmark name under a machine configuration.
-Task = Tuple[str, object]
 
 #: Default lease timeout: a lease with no heartbeat for this long is
 #: reclaimed and its task re-queued.
@@ -329,23 +330,33 @@ class LeaseTable:
 # pool interface
 # ----------------------------------------------------------------------
 class Pool:
-    """One interface over both campaign execution backends.
+    """One interface over the campaign execution backends: a pool picks
+    the :class:`~repro.harness.recovery.Transport` attempts launch on,
+    and the one suite driver (:func:`~repro.harness.recovery.run_tasks`)
+    does the rest."""
 
-    A pool turns a task list into a :class:`SuiteOutcome` under a fault
-    policy, journaling through the ``on_run``/``on_failure`` hooks
-    exactly like the serial and process-pool drivers.
-    """
+    def transport(self, runner, tasks, policy) -> Transport:
+        """The transport one ``run_tasks`` call launches attempts on."""
+        raise NotImplementedError
 
     def run_tasks(
         self,
         runner: "ExperimentRunner",
-        tasks: Sequence[Task],
+        tasks: Sequence[Tuple[str, MachineConfig]],
         policy: FaultPolicy = DEFAULT_POLICY,
         progress: bool = False,
         on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
         on_failure: Optional[Callable[[int, RunFailure], None]] = None,
     ) -> SuiteOutcome:
-        raise NotImplementedError
+        """Turn *tasks* into a :class:`SuiteOutcome` under *policy*;
+        ``on_run`` / ``on_failure`` fire as each task settles (the suite
+        journal hooks in here)."""
+        logger.info("running %d runs on %s", len(tasks), self.describe())
+        return run_tasks(
+            runner, tasks, self.transport(runner, tasks, policy),
+            policy=policy, progress=progress, on_run=on_run,
+            on_failure=on_failure,
+        )
 
     def describe(self) -> str:
         """One-line human description (logs, manifests)."""
@@ -353,26 +364,22 @@ class Pool:
 
 
 class LocalPool(Pool):
-    """The in-process backend: ``ProcessPoolExecutor`` fan-out.
-
-    A thin adapter over :func:`repro.harness.parallel.run_tasks_parallel`
-    (which itself degrades to the serial driver for one worker or one
-    task), so both backends are driven through the same interface.
-    """
+    """The local backend: one effective job (or one task) runs
+    in-process; anything wider fans out over a ``ProcessPoolExecutor``
+    (:mod:`repro.harness.parallel`)."""
 
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = jobs
 
-    def run_tasks(self, runner, tasks, policy=DEFAULT_POLICY, progress=False,
-                  on_run=None, on_failure=None):
-        from .parallel import run_tasks_parallel
-
-        return run_tasks_parallel(
-            runner, tasks, jobs=self.jobs, progress=progress, policy=policy,
-            on_run=on_run, on_failure=on_failure,
-        )
+    def transport(self, runner, tasks, policy):
+        jobs = resolve_jobs(self.jobs)
+        if jobs <= 1 or len(tasks) <= 1:
+            return InProcess(runner, tasks, policy)
+        return ProcessPoolTransport(runner, tasks, policy, jobs)
 
     def describe(self) -> str:
+        if self.jobs == 1:
+            return "in-process (1 job)"
         return f"local process pool ({self.jobs or 'auto'} jobs)"
 
 
@@ -519,450 +526,321 @@ class DispatchPool(Pool):
             f"{' '.join(self.command())!r}, lease {self.lease_timeout}s)"
         )
 
-    # ------------------------------------------------------------------
-    def run_tasks(self, runner, tasks, policy=DEFAULT_POLICY, progress=False,
-                  on_run=None, on_failure=None):
-        from . import faults
-        from .runner import BenchmarkRun
+    def transport(self, runner, tasks, policy):
+        return _Fleet(self, runner, tasks, policy)
 
-        if not tasks:
-            return SuiteOutcome(())
-        metrics = runner.obs.metrics
-        runner.timing.jobs = max(runner.timing.jobs, self.workers)
-        logger.info(
-            "dispatching %d runs over %s", len(tasks), self.describe()
+
+class _Fleet(Transport):
+    """The :class:`DispatchPool` transport: leased JSONL stdio workers.
+
+    Each attempt goes to an idle worker under a lease; reader threads
+    feed every worker line into one inbox.  The :class:`LeaseTable` is
+    the at-most-once commit gate: a result lands only while its lease is
+    live, and a lease that expires or outlives the policy timeout is
+    reclaimed, reported, and its task stolen by an idle worker.  Lease
+    ids double as live-telemetry stream ids (unique per grant).
+    """
+
+    def __init__(self, pool: DispatchPool, runner, tasks, policy) -> None:
+        super().__init__(runner, tasks, policy)
+        self.pool = pool
+        self.jobs = pool.workers
+        self.table = LeaseTable(
+            pool.lease_timeout, pool.heartbeat_interval,
+            metrics=runner.obs.metrics,
+            events=self.plane.events if self.plane is not None else None,
         )
-
-        results: Dict[int, "BenchmarkRun"] = {}
-        failures: Dict[int, RunFailure] = {}
-        attempts: Dict[int, int] = {i: 0 for i in range(len(tasks))}
-        eligible: Dict[int, float] = {i: 0.0 for i in range(len(tasks))}
-        queue: Set[int] = set(range(len(tasks)))
-        # Live telemetry plane (None unless --serve/--events-out): lease
-        # ids double as metrics stream ids — unique per grant, so a
-        # reclaimed-and-stolen task's partial deltas can never collide
-        # with its re-run's stream.
-        plane = getattr(runner, "telemetry", None)
-        table = LeaseTable(
-            self.lease_timeout, self.heartbeat_interval, metrics=metrics,
-            events=plane.events if plane is not None else None,
-        )
-
-        def _note_worker(wid: int, state: str, benchmark=None, lease=None):
-            if plane is not None:
-                plane.progress.note_worker(
-                    wid, state, benchmark=benchmark, lease=lease
-                )
-
-        def _drop_stream(lease_id: Optional[str]) -> None:
-            if plane is not None and lease_id is not None:
-                plane.live.discard(lease_id)
-
-        def _settle_obs(lease_id: str, payload: Optional[dict]) -> None:
-            """Fold a committed obs payload, atomically retiring the
-            lease's streamed deltas so live scrapes never double count."""
-            if plane is not None:
-                plane.live.resolve(lease_id, merge=lambda: _merge_obs(payload))
-            else:
-                _merge_obs(payload)
-
-        inbox: "Queue[Tuple[int, Optional[str]]]" = Queue()
-        fleet: Dict[int, _WorkerProc] = {}
-        spawn_state = {"serial": 0, "failures": 0}
+        self.inbox: "Queue[Tuple[int, Optional[str]]]" = Queue()
+        self.fleet: Dict[int, _WorkerProc] = {}
+        self.spawn_failures = 0
         # Crash-looping tasks are bounded by the retry budget; this cap
         # only backstops a launcher that keeps dying *between* tasks.
-        max_spawns = self.workers + len(tasks) * policy.max_attempts + 8
+        self.max_spawns = pool.workers + len(tasks) * policy.max_attempts + 8
+        #: Attempts settled since the last :meth:`poll`.
+        self.settled: List[Attempt] = []
 
-        payload_base = {
-            "sampling": runner.sampling,
-            "cost_model": runner.cost_model,
-            "workload_scale": runner.workload_scale,
-            "methods": runner.methods,
-            "cache_dir": Path(runner.cache.directory),
-            "cache_enabled": runner.cache.enabled,
-            "diagnostics": runner.diagnostics,
+    def __exit__(self, *exc) -> None:
+        self._shutdown_fleet()
+
+    def poll(self, timeout: Optional[float], queued: int) -> List[Attempt]:
+        self._ensure_fleet(queued)
+        try:
+            item = self.inbox.get(timeout=_DISPATCH_TICK)
+            while True:
+                self._handle_line(*item)
+                item = self.inbox.get_nowait()
+        except Empty:
+            pass
+        self._sweep(time.monotonic())
+        settled, self.settled = self.settled, []
+        return settled
+
+    # ------------------------------------------------------------------
+    def _note_worker(self, wid: int, state: str, benchmark=None, lease=None):
+        if self.plane is not None:
+            self.plane.progress.note_worker(
+                wid, state, benchmark=benchmark, lease=lease
+            )
+
+    def _spawn(self) -> None:
+        spawned = self.pool.spawned_pids
+        if len(spawned) >= self.max_spawns:
+            raise DispatchError(
+                f"spawned {len(spawned)} workers for {len(self.tasks)} "
+                f"tasks; launcher or workers are crash-looping"
+            )
+        wid = len(self.fleet)
+        worker = _WorkerProc(wid, self.pool.command(), self.inbox)
+        self.fleet[wid] = worker
+        spawned.append(worker.proc.pid)
+        self._note_worker(wid, "starting")
+        self.emit("worker_spawn", worker=wid, pid=worker.proc.pid)
+
+    def _ensure_fleet(self, queued: int) -> None:
+        outstanding = queued + self.table.active_count()
+        target = min(self.pool.workers, outstanding)
+        usable = sum(
+            1 for w in self.fleet.values()
+            if w.state in (w.STARTING, w.IDLE, w.BUSY)
+        )
+        for _ in range(target - usable):
+            self._spawn()
+
+    def _suspend_holder(self, lease: Lease) -> None:
+        """Detach a reclaimed lease from its (still live) worker."""
+        holder = self.fleet.get(lease.worker)
+        if holder is not None and holder.lease_id == lease.lease_id:
+            holder.lease_id = None
+            if holder.state == holder.BUSY:
+                holder.state = holder.SUSPECT
+
+    def launch(self, index: int, payload: dict) -> bool:
+        from . import faults
+
+        # The fleet iterates in wid order: the lowest idle wid goes first.
+        worker = next(
+            (w for w in self.fleet.values() if w.state == w.IDLE), None
+        )
+        if worker is None:
+            return False
+        benchmark, attempt = payload["benchmark"], payload["attempt"]
+        partitioned = faults.dispatch_fault("partition", benchmark, attempt)
+        if partitioned:
+            logger.warning(
+                "injected partition on %s lease (attempt %d)",
+                benchmark, attempt,
+            )
+        lease = self.table.grant(
+            index, worker.wid, time.monotonic(), partitioned=partitioned
+        )
+        message = {
+            "v": PROTOCOL_VERSION,
+            "type": "task",
+            "lease": lease.lease_id,
+            "benchmark": benchmark,
+            "attempt": attempt,
+            "lease_timeout": self.pool.lease_timeout,
+            "heartbeat_interval": self.pool.heartbeat_interval,
+            "payload": encode_task_payload(
+                dict(payload, worker=f"w{worker.wid}")
+            ),
         }
+        if not worker.send(message):
+            # Broken pipe: the task never left; it stays queued without
+            # an attempt charged.  The reader's EOF event does the death
+            # bookkeeping.
+            self.table.ungrant(lease.lease_id)
+            return False
+        worker.state = worker.BUSY
+        worker.lease_id = lease.lease_id
+        self._note_worker(
+            worker.wid, "busy", benchmark=benchmark, lease=lease.lease_id,
+        )
+        return True
 
-        def _spawn() -> None:
-            if len(self.spawned_pids) >= max_spawns:
+    def _handle_death(self, wid: int) -> None:
+        worker = self.fleet[wid]
+        worker.proc.wait()
+        was_starting = worker.state == worker.STARTING
+        worker.state = worker.DEAD
+        self._note_worker(wid, "dead")
+        self.emit("worker_dead", worker=wid, exit_code=worker.proc.returncode)
+        lease_id, worker.lease_id = worker.lease_id, None
+        lease = self.table.reclaim(lease_id) if lease_id else None
+        if lease is not None:
+            self.settled.append(Attempt.lost(
+                lease.index, "crash", f"dispatch worker died mid-lease "
+                f"(exit {worker.proc.returncode})", lease_id,
+            ))
+        if was_starting:
+            self.spawn_failures += 1
+            if self.spawn_failures >= _MAX_SPAWN_FAILURES:
                 raise DispatchError(
-                    f"spawned {len(self.spawned_pids)} workers for "
-                    f"{len(tasks)} tasks; launcher or workers are "
-                    f"crash-looping"
-                )
-            wid = spawn_state["serial"]
-            spawn_state["serial"] += 1
-            worker = _WorkerProc(wid, self.command(), inbox)
-            fleet[wid] = worker
-            self.spawned_pids.append(worker.proc.pid)
-            _note_worker(wid, "starting")
-            if plane is not None:
-                plane.events.emit(
-                    "worker_spawn", worker=wid, pid=worker.proc.pid
+                    f"{self.spawn_failures} workers died before first "
+                    f"contact; launcher {' '.join(self.pool.command())!r} "
+                    f"is broken (exit {worker.proc.returncode})"
                 )
 
-        def _usable() -> int:
-            return sum(
-                1 for w in fleet.values()
-                if w.state in (w.STARTING, w.IDLE, w.BUSY)
+    def _handle_result(self, worker: _WorkerProc, message: dict) -> None:
+        status = message.get("status")
+        if status == "fatal":
+            raise DispatchError(
+                f"worker {worker.wid} hit a non-library error:\n"
+                f"{message.get('traceback', '')}"
             )
-
-        def _ensure_fleet() -> None:
-            outstanding = len(queue) + table.active_count()
-            target = min(self.workers, outstanding) if outstanding else 0
-            while _usable() < target:
-                _spawn()
-
-        def _merge_obs(payload: Optional[dict]) -> None:
-            if not payload:
+        lease_id = message.get("lease", "")
+        lease = self.table.settle(
+            lease_id, ok=(status == "ok"), now=time.monotonic()
+        )
+        if lease is None:
+            if self.table.is_partitioned(lease_id):
+                # The partition ate the result; the lease stays active
+                # until the sweep reclaims it.
                 return
-            runner.timing.merge(SuiteTiming.from_dict(payload["timing"]))
-            runner.obs.merge_dict(payload)
-
-        def _finalize_failure(index: int, failure: RunFailure) -> None:
-            logger.warning("run failed: %s", failure.describe())
-            metrics.counter(RUN_FAILURES).inc()
-            if policy.fail_fast:
-                raise HarnessError(f"fail_fast: {failure.describe()}")
-            failures[index] = failure
-            if on_failure is not None:
-                on_failure(index, failure)
-
-        def _attempt_failed(
-            index: int,
-            error_type: str,
-            message: str,
-            tb: str = "",
-            stage: Optional[str] = None,
-        ) -> None:
-            attempts[index] += 1
-            benchmark, config = tasks[index]
-            if attempts[index] < policy.max_attempts:
-                delay = policy.backoff_seconds(attempts[index])
-                logger.info(
-                    "[%s] %s attempt %d failed (%s); retrying in %.2fs",
-                    config.name, benchmark, attempts[index], error_type,
-                    delay,
-                )
-                metrics.counter(RUN_RETRIES).inc()
-                metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
-                if plane is not None:
-                    plane.events.emit(
-                        "retry", benchmark=benchmark, config=config.name,
-                        attempt=attempts[index], error=error_type,
-                    )
-                eligible[index] = time.monotonic() + delay
-                queue.add(index)
-            else:
-                _finalize_failure(index, RunFailure(
-                    benchmark=benchmark,
-                    config_name=config.name,
-                    attempts=attempts[index],
-                    max_attempts=policy.max_attempts,
-                    error_type=error_type,
-                    error_message=message,
-                    traceback=tb,
-                    stage=stage,
-                ))
-
-        def _suspend_holder(lease: Lease) -> None:
-            """Detach a reclaimed lease from its (still live) worker."""
-            holder = fleet.get(lease.worker)
-            if holder is not None and holder.lease_id == lease.lease_id:
-                holder.lease_id = None
-                if holder.state == holder.BUSY:
-                    holder.state = holder.SUSPECT
-
-        def _assign(now: float) -> None:
-            idle = sorted(
-                (w.wid, w) for w in fleet.values() if w.state == w.IDLE
+            # Stale commit (already counted): the task was reclaimed —
+            # and possibly re-run — while this worker was out of
+            # contact.  Its result is discarded, but the worker itself
+            # is back: return it to the rotation.
+            logger.warning(
+                "worker %d: stale result for %s discarded",
+                worker.wid, lease_id,
             )
-            ready = sorted(i for i in queue if eligible[i] <= now)
-            for (_, worker), index in zip(idle, ready):
-                benchmark, config = tasks[index]
-                partitioned = faults.dispatch_fault(
-                    "partition", benchmark, attempts[index]
-                )
-                if partitioned:
-                    logger.warning(
-                        "injected partition on %s lease (attempt %d)",
-                        benchmark, attempts[index],
-                    )
-                lease = table.grant(
-                    index, worker.wid, now, partitioned=partitioned
-                )
-                if progress:
-                    suffix = (
-                        f" (attempt {attempts[index] + 1})"
-                        if attempts[index] else ""
-                    )
-                    logger.info("[%s] %s ...%s", config.name, benchmark,
-                                suffix)
-                message = {
-                    "v": PROTOCOL_VERSION,
-                    "type": "task",
-                    "lease": lease.lease_id,
-                    "benchmark": benchmark,
-                    "attempt": attempts[index],
-                    "lease_timeout": self.lease_timeout,
-                    "heartbeat_interval": self.heartbeat_interval,
-                    "payload": encode_task_payload(dict(
-                        payload_base, benchmark=benchmark, config=config,
-                        worker=f"w{worker.wid}",
-                        trace_ctx=runner.obs.tracer.export_context(
-                            f"{benchmark}:{config.name}:a{attempts[index]}"
-                        ),
-                    )),
-                }
-                if worker.send(message):
-                    worker.state = worker.BUSY
-                    worker.lease_id = lease.lease_id
-                    queue.discard(index)
-                    _note_worker(
-                        worker.wid, "busy", benchmark=benchmark,
-                        lease=lease.lease_id,
-                    )
-                else:
-                    # Broken pipe: the task never left; re-queue it
-                    # without charging an attempt.  The reader's EOF
-                    # event does the death bookkeeping.
-                    table.ungrant(lease.lease_id)
+            if worker.state in (worker.BUSY, worker.SUSPECT):
+                worker.state = worker.IDLE
+                worker.lease_id = None
+                self._note_worker(worker.wid, "idle")
+            return
+        worker.state = worker.IDLE
+        worker.lease_id = None
+        self._note_worker(worker.wid, "idle")
+        self.settled.append(worker_attempt(lease.index, message, lease_id))
 
-        def _handle_death(wid: int) -> None:
-            worker = fleet[wid]
-            worker.proc.wait()
-            was_starting = worker.state == worker.STARTING
-            worker.state = worker.DEAD
-            _note_worker(wid, "dead")
-            if plane is not None:
-                plane.events.emit(
-                    "worker_dead", worker=wid,
-                    exit_code=worker.proc.returncode,
-                )
-            lease_id, worker.lease_id = worker.lease_id, None
-            if lease_id is not None:
-                lease = table.reclaim(lease_id)
-                _drop_stream(lease_id)
-                if lease is not None:
-                    metrics.counter(WORKER_CRASHES).inc()
-                    _attempt_failed(
-                        lease.index, "WorkerCrash",
-                        f"dispatch worker died mid-lease "
-                        f"(exit {worker.proc.returncode})",
-                    )
-            if was_starting:
-                spawn_state["failures"] += 1
-                if spawn_state["failures"] >= _MAX_SPAWN_FAILURES:
-                    raise DispatchError(
-                        f"{spawn_state['failures']} workers died before "
-                        f"first contact; launcher "
-                        f"{' '.join(self.command())!r} is broken "
-                        f"(exit {worker.proc.returncode})"
-                    )
-
-        def _handle_result(worker: _WorkerProc, message: dict) -> None:
-            status = message.get("status")
-            if status == "fatal":
-                raise DispatchError(
-                    f"worker {worker.wid} hit a non-library error:\n"
-                    f"{message.get('traceback', '')}"
-                )
+    def _handle_line(self, wid: int, line: Optional[str]) -> None:
+        worker = self.fleet[wid]
+        if line is None:
+            self._handle_death(wid)
+            return
+        if worker.state == worker.DEAD:  # pragma: no cover - race
+            return
+        try:
+            message = json.loads(line)
+        except json.JSONDecodeError:
+            logger.warning(
+                "worker %d: unparseable message %r; killing it",
+                wid, line[:120],
+            )
+            worker.kill()
+            return
+        if message.get("v") != PROTOCOL_VERSION:
+            raise DispatchError(
+                f"worker {wid} speaks protocol {message.get('v')!r}; "
+                f"dispatcher speaks {PROTOCOL_VERSION}"
+            )
+        kind = message.get("type")
+        if kind == "hello":
+            self.spawn_failures = 0
+            if worker.state == worker.STARTING:
+                worker.state = worker.IDLE
+                self._note_worker(wid, "idle")
+        elif kind == "heartbeat":
             lease_id = message.get("lease", "")
-            now = time.monotonic()
-            lease = table.settle(lease_id, ok=(status == "ok"), now=now)
-            if lease is None:
-                if table.is_partitioned(lease_id):
-                    # The partition ate the result; the lease stays
-                    # active until the monitor reclaims it.
-                    return
-                # Stale commit (already counted): the task was reclaimed
-                # — and possibly re-run — while this worker was out of
-                # contact.  Its result is discarded, but the worker
-                # itself is back: return it to the rotation.
-                logger.warning(
-                    "worker %d: stale result for %s discarded",
-                    worker.wid, lease_id,
-                )
-                if worker.state in (worker.BUSY, worker.SUSPECT):
-                    worker.state = worker.IDLE
-                    worker.lease_id = None
-                    _note_worker(worker.wid, "idle")
-                return
-            worker.state = worker.IDLE
-            worker.lease_id = None
-            _note_worker(worker.wid, "idle")
-            index = lease.index
-            benchmark, config = tasks[index]
-            if status == "ok":
-                _settle_obs(lease_id, message.get("obs"))
-                metrics.counter(RUNS_COMPLETED).inc()
-                results[index] = BenchmarkRun.from_dict(message["run"])
-                if on_run is not None:
-                    on_run(index, results[index])
-                if progress:
-                    logger.info("[%s] %s done", config.name, benchmark)
-            else:
-                info = message.get("info", {})
-                _settle_obs(lease_id, info.get("obs"))
-                _attempt_failed(
-                    index,
-                    info.get("error_type", "ReproError"),
-                    info.get("error_message", ""),
-                    info.get("traceback", ""),
-                    info.get("stage"),
-                )
+            renewed = self.table.renew(lease_id, time.monotonic())
+            # Piggybacked metrics delta: fold exactly once, and only for
+            # a live, non-partitioned lease — deltas of a reclaimed lease
+            # are stale by definition (their run will recommit
+            # elsewhere), and a partition eats its messages.
+            if renewed and self.plane is not None and "seq" in message:
+                self.plane.live.fold(lease_id, message)
+        elif kind == "result":
+            self._handle_result(worker, message)
+        else:
+            logger.warning(
+                "worker %d: unexpected message type %r", wid, kind
+            )
 
-        def _handle_line(wid: int, line: Optional[str]) -> None:
-            worker = fleet[wid]
+    def _sweep(self, now: float) -> None:
+        timeout = self.pool.lease_timeout
+        for lease in self.table.sweep(now):
+            self._suspend_holder(lease)
+            logger.warning(
+                "lease %s on %s expired (no contact for > %.1fs); "
+                "reclaiming", lease.lease_id, self.tasks[lease.index][0],
+                timeout,
+            )
+            self.settled.append(Attempt.lost(
+                lease.index, "expired", f"lease expired after {timeout}s "
+                f"without heartbeat", lease.lease_id,
+            ))
+        if self.policy.timeout is None:
+            return
+        overdue = [
+            lease for lease in map(self.table.get, self.table.active_ids())
+            if lease is not None
+            and now - lease.granted_at > self.policy.timeout
+        ]
+        for lease in overdue:
+            # A run past the policy timeout is wedged even though it may
+            # still heartbeat; kill the worker (runs cannot be cancelled
+            # in place) and charge the task.
+            self.table.reclaim(lease.lease_id)
+            self._suspend_holder(lease)
+            holder = self.fleet.get(lease.worker)
+            if holder is not None and holder.state != holder.DEAD:
+                holder.kill()
+            self.settled.append(Attempt.lost(
+                lease.index, "timeout", f"run exceeded per-run timeout of "
+                f"{self.policy.timeout}s", lease.lease_id,
+            ))
+
+    def _shutdown_fleet(self) -> None:
+        for worker in self.fleet.values():
+            if worker.state != worker.DEAD:
+                worker.shutdown()
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
+        # Drain the inbox while the fleet winds down: a worker whose
+        # lease was reclaimed may flush a withheld result on shutdown
+        # (the node "came back"), and that late commit must still be
+        # counted and rejected as stale, not vanish unread.  Only dead
+        # leases are settled here — an aborting campaign (fault
+        # fast-path) may still hold active ones, and those must not land
+        # after the driver has stopped recording results.
+        def _drain_late(line: Optional[str]) -> None:
             if line is None:
-                _handle_death(wid)
-                return
-            if worker.state == worker.DEAD:  # pragma: no cover - race
                 return
             try:
                 message = json.loads(line)
             except json.JSONDecodeError:
-                logger.warning(
-                    "worker %d: unparseable message %r; killing it",
-                    wid, line[:120],
-                )
+                return
+            lease_id = message.get("lease", "")
+            if (message.get("type") == "result"
+                    and self.table.get(lease_id) is None):
+                self.table.settle(lease_id, ok=False, now=time.monotonic())
+
+        while time.monotonic() < deadline:
+            if all(w.proc.poll() is not None for w in self.fleet.values()):
+                break
+            try:
+                _, line = self.inbox.get(timeout=_DISPATCH_TICK)
+            except Empty:
+                continue
+            _drain_late(line)
+        for worker in self.fleet.values():
+            if worker.proc.returncode is not None:
+                continue
+            remaining = max(deadline - time.monotonic(), 0.1)
+            try:
+                worker.proc.wait(timeout=remaining)
+            except subprocess.TimeoutExpired:
                 worker.kill()
-                return
-            if message.get("v") != PROTOCOL_VERSION:
-                raise DispatchError(
-                    f"worker {wid} speaks protocol {message.get('v')!r}; "
-                    f"dispatcher speaks {PROTOCOL_VERSION}"
-                )
-            kind = message.get("type")
-            if kind == "hello":
-                spawn_state["failures"] = 0
-                if worker.state == worker.STARTING:
-                    worker.state = worker.IDLE
-                    _note_worker(wid, "idle")
-            elif kind == "heartbeat":
-                lease_id = message.get("lease", "")
-                renewed = table.renew(lease_id, time.monotonic())
-                # Piggybacked metrics delta: fold exactly once, and only
-                # for a live, non-partitioned lease — deltas of a
-                # reclaimed lease are stale by definition (their run will
-                # recommit elsewhere), and a partition eats its messages.
-                if renewed and plane is not None and "seq" in message:
-                    plane.live.fold(lease_id, message)
-            elif kind == "result":
-                _handle_result(worker, message)
-            else:
-                logger.warning(
-                    "worker %d: unexpected message type %r", wid, kind
-                )
-
-        def _sweep(now: float) -> None:
-            for lease in table.sweep(now):
-                _suspend_holder(lease)
-                _drop_stream(lease.lease_id)
-                logger.warning(
-                    "lease %s on %s expired (no contact for > %.1fs); "
-                    "reclaiming", lease.lease_id, tasks[lease.index][0],
-                    self.lease_timeout,
-                )
-                _attempt_failed(
-                    lease.index, "LeaseExpired",
-                    f"lease expired after {self.lease_timeout}s without "
-                    f"heartbeat",
-                )
-            if policy.timeout is None:
-                return
-            overdue = [
-                lease for lease in map(table.get, table.active_ids())
-                if lease is not None
-                and now - lease.granted_at > policy.timeout
-            ]
-            for lease in overdue:
-                # A run past the policy timeout is wedged even though it
-                # may still heartbeat; kill the worker (runs cannot be
-                # cancelled in place) and charge the task.
-                table.reclaim(lease.lease_id)
-                _suspend_holder(lease)
-                _drop_stream(lease.lease_id)
-                holder = fleet.get(lease.worker)
-                if holder is not None and holder.state != holder.DEAD:
-                    holder.kill()
-                metrics.counter(RUN_TIMEOUTS).inc()
-                _attempt_failed(
-                    lease.index, "RunTimeout",
-                    f"run exceeded per-run timeout of {policy.timeout}s",
-                )
-
-        def _shutdown_fleet() -> None:
-            for worker in fleet.values():
-                if worker.state != worker.DEAD:
-                    worker.shutdown()
-            deadline = time.monotonic() + _SHUTDOWN_GRACE
-            # Drain the inbox while the fleet winds down: a worker whose
-            # lease was reclaimed may flush a withheld result on shutdown
-            # (the node "came back"), and that late commit must still be
-            # counted and rejected as stale, not vanish unread.  Only
-            # dead leases are settled here — an aborting campaign (fault
-            # fast-path) may still hold active ones, and those must not
-            # land after the loop has stopped recording results.
-            def _drain_late(line: Optional[str]) -> None:
-                if line is None:
-                    return
-                try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
-                    return
-                lease_id = message.get("lease", "")
-                if (message.get("type") == "result"
-                        and table.get(lease_id) is None):
-                    table.settle(lease_id, ok=False, now=time.monotonic())
-
-            while time.monotonic() < deadline:
-                if all(w.proc.poll() is not None for w in fleet.values()):
-                    break
-                try:
-                    _, line = inbox.get(timeout=_DISPATCH_TICK)
-                except Empty:
-                    continue
-                _drain_late(line)
-            for worker in fleet.values():
-                if worker.proc.returncode is not None:
-                    continue
-                remaining = max(deadline - time.monotonic(), 0.1)
-                try:
-                    worker.proc.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    worker.kill()
-                    worker.proc.wait()
-            # Final sweep: the reader threads may enqueue a worker's last
-            # lines (EOF flush) just after its process exits.
-            while True:
-                try:
-                    _, line = inbox.get(timeout=_DISPATCH_TICK)
-                except Empty:
-                    break
-                _drain_late(line)
-
-        try:
-            while queue or table.active_count():
-                _ensure_fleet()
-                now = time.monotonic()
-                _assign(now)
-                try:
-                    wid, line = inbox.get(timeout=_DISPATCH_TICK)
-                except Empty:
-                    pass
-                else:
-                    _handle_line(wid, line)
-                    while True:
-                        try:
-                            wid, line = inbox.get_nowait()
-                        except Empty:
-                            break
-                        _handle_line(wid, line)
-                _sweep(time.monotonic())
-        finally:
-            _shutdown_fleet()
-        return assemble_outcome(tasks, results, failures)
+                worker.proc.wait()
+        # Final sweep: the reader threads may enqueue a worker's last
+        # lines (EOF flush) just after its process exits.
+        while True:
+            try:
+                _, line = self.inbox.get(timeout=_DISPATCH_TICK)
+            except Empty:
+                break
+            _drain_late(line)
 
 
 def make_pool(

@@ -1,4 +1,4 @@
-"""Process-parallel execution of per-benchmark pipeline runs.
+"""Process-pool transport: per-benchmark runs on worker processes.
 
 The full evaluation is embarrassingly parallel: every (benchmark, config)
 pipeline is deterministic and self-contained (DESIGN.md decision 1 — the
@@ -8,24 +8,20 @@ shared state beyond the disk cache, which is safe under concurrent writers
 (unique temp names + atomic rename, see :mod:`repro.harness.cache`).
 
 Nothing non-picklable crosses the process boundary: workers receive the
-frozen config dataclasses plus the cache directory, rebuild traces
-locally, and return ``BenchmarkRun.to_dict()`` payloads together with
-their serialised timing records.  The parent rebuilds the runs, merges the
-timing reports, and returns results in task order — byte-identical to the
-serial path.
-
-Execution is fault-tolerant (see :mod:`repro.harness.recovery`): a run
-that raises inside a worker is reported as a structured error (with its
-failing stage and traceback) rather than aborting the suite; the parent
-retries it up to the :class:`FaultPolicy`'s budget with deterministic
-backoff, and records a :class:`RunFailure` when the budget is exhausted.
-A worker that *dies* (OOM kill, segfault — surfacing as
-``BrokenProcessPool``) breaks the whole pool; the parent respawns the
-pool and requeues only the unfinished tasks, charging the crash against
-each requeued task's attempt budget.  A run exceeding the policy's
-per-run timeout cannot be cancelled in place (process pools cannot
-interrupt a running call), so the parent terminates the workers,
-respawns the pool, charges the timed-out run an attempt, and requeues
+frozen config dataclasses plus the cache directory (and a shared-memory
+handle to each trace), and :func:`_worker_run` returns
+``BenchmarkRun.to_dict()`` payloads together with their serialised
+observability records (the dispatch transport's workers run the same
+function).  The suite driver
+(:func:`repro.harness.recovery.run_tasks`) owns retries, backoff,
+failure accounting and obs merging; :class:`ProcessPoolTransport` only
+submits attempts and reports how each settled.  A worker that *dies*
+(OOM kill, segfault — surfacing as ``BrokenProcessPool``) breaks the
+whole pool: the transport respawns it, reports a crash for every doomed
+in-flight run and hands back the rest uncharged.  A run exceeding the
+policy's per-run timeout cannot be cancelled in place (process pools
+cannot interrupt a running call), so the transport terminates the
+workers, respawns the pool, reports the timed-out run, and hands back
 the innocent in-flight tasks at their current attempt count.
 """
 
@@ -36,42 +32,20 @@ import os
 import socket
 import threading
 import time
-import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..config import MachineConfig
 from ..engine.shm import share_trace, shm_enabled
 from ..errors import HarnessError, ReproError
-from ..obs import (
-    POOL_RESPAWNS,
-    RETRY_BACKOFF_SECONDS,
-    RUN_FAILURES,
-    RUN_RETRIES,
-    RUN_TIMEOUTS,
-    RUNS_COMPLETED,
-    WORKER_CRASHES,
-)
+from ..obs import POOL_RESPAWNS
 from .cache import ResultCache
-from .recovery import (
-    DEFAULT_POLICY,
-    FaultPolicy,
-    RunFailure,
-    SuiteOutcome,
-    assemble_outcome,
-    run_tasks_serial,
-)
-from .timing import SuiteTiming
+from .recovery import Attempt, Transport, error_info
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .runner import BenchmarkRun, ExperimentRunner
+    from .runner import ExperimentRunner
 
 logger = logging.getLogger(__name__)
-
-#: One suite task: a benchmark name under a machine configuration.
-Task = Tuple[str, MachineConfig]
 
 #: How often the parent wakes to check per-run timeouts (seconds).
 _TIMEOUT_TICK = 0.05
@@ -164,18 +138,19 @@ def _start_streaming(
     return stop, thread
 
 
-def _worker_run(payload: dict, runner_sink=None) -> tuple:
+def _worker_run(payload: dict, runner_sink=None) -> dict:
     """Execute one pipeline run inside a worker process.
 
     Rebuilds a local :class:`ExperimentRunner` (workers share only the
     on-disk cache), runs the benchmark, and returns either
-    ``("ok", run_payload, obs_payload)`` or — when the pipeline raises
-    a library error — ``("error", info)`` with the exception class,
-    message, traceback, failing stage and the worker's observability
-    records (timing view, span trees, metrics), so the parent can retry
-    or record the failure without the exception tearing down the suite.
+    ``{"status": "ok", "run": ..., "obs": ...}`` or — when the pipeline
+    raises a library error — ``{"status": "error", "info": ...}`` with
+    the exception class, message, traceback, failing stage and the
+    worker's observability records (timing view, span trees, metrics),
+    so the parent can retry or record the failure without the exception
+    tearing down the suite (:func:`worker_attempt` reads either back).
     Non-library exceptions (genuine bugs) propagate through the future
-    and abort the suite, exactly as on the serial path.
+    and abort the suite, exactly as in-process.
 
     A ``trace_ctx`` in the payload joins the driver's distributed trace
     (span ids minted under the task's origin, roots pointed at the
@@ -217,22 +192,35 @@ def _worker_run(payload: dict, runner_sink=None) -> tuple:
     try:
         run = runner.run_benchmark(payload["benchmark"], payload["config"])
     except ReproError as error:
-        return (
-            "error",
-            {
-                "error_type": type(error).__name__,
-                "error_message": str(error),
-                "traceback": traceback_module.format_exc(),
-                "stage": getattr(error, "_repro_stage", None),
-                "obs": _worker_obs(runner, worker=worker_label),
-            },
-        )
+        return {"status": "error", "info": dict(
+            error_info(error), obs=_worker_obs(runner, worker=worker_label),
+        )}
     finally:
         faults.set_attempt(0)
         if stream_stop is not None:
             stream_stop.set()
             stream_thread.join()
-    return ("ok", run.to_dict(), _worker_obs(runner, worker=worker_label))
+    return {
+        "status": "ok", "run": run.to_dict(),
+        "obs": _worker_obs(runner, worker=worker_label),
+    }
+
+
+def worker_attempt(
+    index: int, outcome: dict, stream: Optional[str]
+) -> Attempt:
+    """The :class:`Attempt` a :func:`_worker_run` outcome reports — a
+    pool future's result and a dispatch ``result`` message alike."""
+    from .runner import BenchmarkRun
+
+    if outcome.get("status") == "ok":
+        return Attempt(
+            index, "ok", run=BenchmarkRun.from_dict(outcome["run"]),
+            obs=outcome.get("obs"), stream=stream,
+        )
+    info = outcome.get("info", {})
+    return Attempt(index, "error", info=info, obs=info.get("obs"),
+                   stream=stream)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -255,358 +243,177 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-def run_tasks_parallel(
-    runner: "ExperimentRunner",
-    tasks: Sequence[Task],
-    jobs: Optional[int] = None,
-    progress: bool = False,
-    policy: FaultPolicy = DEFAULT_POLICY,
-    on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
-    on_failure: Optional[Callable[[int, RunFailure], None]] = None,
-) -> SuiteOutcome:
-    """Run *tasks* with *runner*'s configuration across worker processes.
+class ProcessPoolTransport(Transport):
+    """Attempts as :func:`_worker_run` calls on a ``ProcessPoolExecutor``.
 
-    Completed runs come back in task order inside a
-    :class:`SuiteOutcome`, with failures (after *policy*'s retry budget)
-    alongside.  Worker observability records — timing, span trees and
-    metrics, including those of failed attempts — are merged into
-    ``runner.timing`` / ``runner.obs``.  With one effective
-    worker (or one task) this falls back to the serial path: same
-    results, same recovery semantics, no process overhead.
-    ``on_run``/``on_failure`` fire as each task settles (the suite
-    journal hooks in here).
+    Traces are published once to shared memory; with a live-telemetry
+    plane, workers stream metrics deltas over a Manager queue under a
+    per-submission stream id.  A dead worker (``BrokenProcessPool``) or
+    a run past the policy timeout tears the pool down and respawns it.
+    The parent wakes on future completion — and, only when a per-run
+    timeout needs checking, every ``_TIMEOUT_TICK``.
     """
-    from .runner import BenchmarkRun
 
-    jobs = resolve_jobs(jobs)
-    runner.timing.jobs = max(runner.timing.jobs, jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        return run_tasks_serial(
-            runner, tasks, policy=policy, progress=progress,
-            on_run=on_run, on_failure=on_failure,
-        )
+    def __init__(self, runner, tasks, policy, jobs: int) -> None:
+        super().__init__(runner, tasks, policy)
+        self.jobs = jobs
+        self.workers = min(jobs, len(tasks))
+        self.pending: Dict[Future, Tuple[int, Optional[str]]] = {}
+        self.running_since: Dict[Future, float] = {}
+        self.shared: dict = {}
+        self.segments: list = []
+        self.manager = self.progress_queue = None
+        self.streams = 0
 
-    payload_base = {
-        "sampling": runner.sampling,
-        "cost_model": runner.cost_model,
-        "workload_scale": runner.workload_scale,
-        "methods": runner.methods,
-        "cache_dir": Path(runner.cache.directory),
-        "cache_enabled": runner.cache.enabled,
-        "diagnostics": runner.diagnostics,
-    }
-    workers = min(jobs, len(tasks))
-    logger.info("fanning %d runs out over %d workers", len(tasks), workers)
+    def __enter__(self) -> "ProcessPoolTransport":
+        if self.plane is not None:
+            import multiprocessing
 
-    results: Dict[int, "BenchmarkRun"] = {}
-    failures: Dict[int, RunFailure] = {}
-    attempts: Dict[int, int] = {index: 0 for index in range(len(tasks))}
-    eligible: Dict[int, float] = {index: 0.0 for index in range(len(tasks))}
-    queue: Set[int] = set(range(len(tasks)))
-    pending: Dict[Future, int] = {}
-    running_since: Dict[Future, float] = {}
+            self.manager = multiprocessing.Manager()
+            self.progress_queue = self.manager.Queue()
+        # Publish each benchmark's trace once; workers attach zero-copy.
+        # The parent owns the segments and unlinks them on exit — pool
+        # respawns re-attach by name, dead workers leak nothing.
+        if shm_enabled():
+            handles: Dict[str, dict] = {}
+            for benchmark in dict.fromkeys(b for b, _ in self.tasks):
+                segment, handle = share_trace(
+                    self.runner.trace(benchmark),
+                    metrics=self.runner.obs.metrics,
+                )
+                self.segments.append(segment)
+                handles[benchmark] = handle
+            self.shared["trace_shm"] = handles
+        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self
 
-    metrics = runner.obs.metrics
-
-    # Live telemetry (out-of-band; None unless --serve/--events-out):
-    # workers stream metrics deltas over a manager queue, keyed by a
-    # per-submission stream id so a requeued task never collides with
-    # the deltas of its abandoned predecessor.
-    plane = getattr(runner, "telemetry", None)
-    manager = None
-    progress_queue = None
-    streams: Dict[Future, str] = {}
-    stream_serial = [0]
-    if plane is not None:
-        import multiprocessing
-
-        manager = multiprocessing.Manager()
-        progress_queue = manager.Queue()
-
-    def _drain_streams() -> None:
-        if progress_queue is None:
-            return
-        while True:
-            try:
-                item = progress_queue.get_nowait()
-            except Exception:
-                return
-            plane.live.fold(str(item.get("stream", "")), item)
-
-    def _settle_stream(future: Future, merge) -> None:
-        """Drop the future's pending deltas and fold its committed obs
-        payload, atomically w.r.t. live scrapes."""
-        stream_id = streams.pop(future, None)
-        if plane is not None and stream_id is not None:
-            _drain_streams()
-            plane.live.resolve(stream_id, merge=merge)
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.pool.shutdown()
         else:
-            merge()
-
-    def _drop_stream(future: Future) -> None:
-        stream_id = streams.pop(future, None)
-        if plane is not None and stream_id is not None:
-            plane.live.discard(stream_id)
-
-    # Publish each benchmark's trace once; workers attach zero-copy.
-    # The parent owns the segments and unlinks them in the finally —
-    # pool respawns re-attach by name, dead workers leak nothing.
-    shm_segments = []
-    if shm_enabled():
-        trace_handles: Dict[str, dict] = {}
-        for benchmark in dict.fromkeys(b for b, _ in tasks):
-            segment, handle = share_trace(
-                runner.trace(benchmark), metrics=metrics
-            )
-            shm_segments.append(segment)
-            trace_handles[benchmark] = handle
-        payload_base["trace_shm"] = trace_handles
-
-    def _merge_obs(payload: Optional[dict]) -> None:
-        """Fold one worker's shipment into the parent's collectors.
-
-        Span roots attach under the tracer's current span (the suite
-        span), so the merged trace reads ``suite -> run -> stages``
-        regardless of which process ran what.
-        """
-        if not payload:
-            return
-        runner.timing.merge(SuiteTiming.from_dict(payload["timing"]))
-        runner.obs.merge_dict(payload)
-
-    def _finalize_failure(index: int, failure: RunFailure) -> None:
-        logger.warning("run failed: %s", failure.describe())
-        metrics.counter(RUN_FAILURES).inc()
-        if policy.fail_fast:
-            raise HarnessError(f"fail_fast: {failure.describe()}")
-        failures[index] = failure
-        if on_failure is not None:
-            on_failure(index, failure)
-
-    def _attempt_failed(
-        index: int,
-        error_type: str,
-        message: str,
-        tb: str = "",
-        stage: Optional[str] = None,
-    ) -> None:
-        """Charge one failed attempt; requeue with backoff or finalize."""
-        attempts[index] += 1
-        benchmark, config = tasks[index]
-        if attempts[index] < policy.max_attempts:
-            delay = policy.backoff_seconds(attempts[index])
-            logger.info(
-                "[%s] %s attempt %d failed (%s); retrying in %.2fs",
-                config.name, benchmark, attempts[index], error_type, delay,
-            )
-            metrics.counter(RUN_RETRIES).inc()
-            metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
-            if plane is not None:
-                plane.events.emit(
-                    "retry", benchmark=benchmark, config=config.name,
-                    attempt=attempts[index], error=error_type,
-                )
-            eligible[index] = time.monotonic() + delay
-            queue.add(index)
-        else:
-            _finalize_failure(index, RunFailure(
-                benchmark=benchmark,
-                config_name=config.name,
-                attempts=attempts[index],
-                max_attempts=policy.max_attempts,
-                error_type=error_type,
-                error_message=message,
-                traceback=tb,
-                stage=stage,
-            ))
-
-    def _handle_done(future: Future) -> bool:
-        """Consume one settled future; returns True if the pool broke."""
-        index = pending.pop(future)
-        running_since.pop(future, None)
-        benchmark, config = tasks[index]
-        try:
-            outcome = future.result()
-        except BrokenProcessPool as error:
-            _drop_stream(future)
-            metrics.counter(WORKER_CRASHES).inc()
-            if plane is not None:
-                plane.events.emit(
-                    "worker_dead", benchmark=benchmark, config=config.name,
-                )
-            _attempt_failed(
-                index, "WorkerCrash",
-                f"worker process died mid-run ({error})",
-            )
-            return True
-        except ReproError as error:
-            # A library error raised outside the worker's own capture
-            # (e.g. payload validation in the worker's runner setup).
-            _drop_stream(future)
-            _attempt_failed(
-                index, type(error).__name__, str(error),
-                traceback_module.format_exc(),
-                getattr(error, "_repro_stage", None),
-            )
-            return False
-        except Exception as error:
-            raise HarnessError(
-                f"worker failed on {benchmark} ({config.name}): {error}"
-            ) from error
-        if outcome[0] == "ok":
-            _, run_payload, obs_payload = outcome
-            _settle_stream(future, lambda: _merge_obs(obs_payload))
-            metrics.counter(RUNS_COMPLETED).inc()
-            results[index] = BenchmarkRun.from_dict(run_payload)
-            if on_run is not None:
-                on_run(index, results[index])
-            if progress:
-                logger.info("[%s] %s done", config.name, benchmark)
-        else:
-            info = outcome[1]
-            _settle_stream(future, lambda: _merge_obs(info.get("obs")))
-            _attempt_failed(
-                index, info["error_type"], info["error_message"],
-                info["traceback"], info.get("stage"),
-            )
-        return False
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        while queue or pending:
-            now = time.monotonic()
-            # Submit every task whose backoff has elapsed.
-            for index in sorted(i for i in queue if eligible[i] <= now):
-                queue.discard(index)
-                benchmark, config = tasks[index]
-                if progress:
-                    suffix = (
-                        f" (attempt {attempts[index] + 1})"
-                        if attempts[index] else ""
-                    )
-                    logger.info(
-                        "[%s] %s ...%s", config.name, benchmark, suffix
-                    )
-                payload = dict(
-                    payload_base, benchmark=benchmark, config=config,
-                    attempt=attempts[index],
-                    trace_ctx=runner.obs.tracer.export_context(
-                        f"{benchmark}:{config.name}:a{attempts[index]}"
-                    ),
-                )
-                stream_id = None
-                if plane is not None:
-                    stream_serial[0] += 1
-                    stream_id = (
-                        f"pool:{benchmark}:{config.name}"
-                        f":s{stream_serial[0]}"
-                    )
-                    payload["telemetry"] = {
-                        "queue": progress_queue, "stream": stream_id,
-                    }
-                try:
-                    future = pool.submit(_worker_run, payload)
-                except BrokenProcessPool:
-                    queue.add(index)
-                    break
-                pending[future] = index
-                if stream_id is not None:
-                    streams[future] = stream_id
-
-            waits = []
-            if queue:
-                next_eligible = min(eligible[i] for i in queue)
-                waits.append(max(next_eligible - now, 0.01))
-            if policy.timeout is not None and pending:
-                waits.append(_TIMEOUT_TICK)
-            timeout = min(waits) if waits else None
-
-            if not pending:
-                if queue:
-                    time.sleep(timeout if timeout is not None else 0.01)
-                continue
-
-            done, _ = wait(
-                set(pending), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            _drain_streams()
-            broken = any([_handle_done(future) for future in done])
-            if broken:
-                # Every other in-flight future is doomed too; drain them
-                # (each crash charges that task an attempt) and respawn.
-                doomed, _ = wait(set(pending), timeout=_DRAIN_SECONDS)
-                for future in doomed:
-                    _handle_done(future)
-                for future in list(pending):
-                    # Anything still unsettled is abandoned with the pool;
-                    # requeue it at its current attempt count.
-                    index = pending.pop(future)
-                    running_since.pop(future, None)
-                    _drop_stream(future)
-                    queue.add(index)
-                _kill_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                metrics.counter(POOL_RESPAWNS).inc()
-                if plane is not None:
-                    plane.events.emit("pool_respawn", workers=workers)
-                logger.warning("worker pool died; respawned %d workers",
-                               workers)
-                continue
-
-            if policy.timeout is None:
-                continue
-
-            # Per-run timeout bookkeeping: clocks start when a future is
-            # first observed running (dispatched to a worker), not when
-            # it was submitted to the queue.
-            now = time.monotonic()
-            for future in pending:
-                if future not in running_since and future.running():
-                    running_since[future] = now
-            timed_out = [
-                future for future, began in running_since.items()
-                if future in pending and now - began > policy.timeout
-            ]
-            if not timed_out:
-                continue
-            # A running call cannot be interrupted; tear the pool down,
-            # charge the timed-out runs, requeue the innocents as-is.
-            for future in timed_out:
-                index = pending.pop(future)
-                running_since.pop(future, None)
-                _drop_stream(future)
-                metrics.counter(RUN_TIMEOUTS).inc()
-                _attempt_failed(
-                    index, "RunTimeout",
-                    f"run exceeded per-run timeout of {policy.timeout}s",
-                )
-            for future in list(pending):
-                index = pending.pop(future)
-                running_since.pop(future, None)
-                _drop_stream(future)
-                queue.add(index)
-                eligible[index] = 0.0
-            _kill_pool(pool)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            metrics.counter(POOL_RESPAWNS).inc()
-            if plane is not None:
-                plane.events.emit("pool_respawn", workers=workers)
-            logger.warning(
-                "per-run timeout (%.1fs) hit; pool respawned with %d "
-                "workers", policy.timeout, workers,
-            )
-    except BaseException:
-        _kill_pool(pool)
-        raise
-    else:
-        pool.shutdown()
-    finally:
-        for segment in shm_segments:
+            _kill_pool(self.pool)
+        for segment in self.segments:
             try:
                 segment.close()
                 segment.unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
-        if manager is not None:
-            manager.shutdown()
-    return assemble_outcome(tasks, results, failures)
+        if self.manager is not None:
+            self.manager.shutdown()
+
+    def launch(self, index: int, payload: dict) -> bool:
+        payload = dict(payload, **self.shared)
+        stream = None
+        if self.progress_queue is not None:
+            self.streams += 1
+            stream = (
+                f"pool:{payload['benchmark']}:{payload['config'].name}"
+                f":s{self.streams}"
+            )
+            payload["telemetry"] = {
+                "queue": self.progress_queue, "stream": stream,
+            }
+        try:
+            future = self.pool.submit(_worker_run, payload)
+        except BrokenProcessPool:
+            return False
+        self.pending[future] = (index, stream)
+        return True
+
+    def _drain_streams(self) -> None:
+        if self.progress_queue is None:
+            return
+        while True:
+            try:
+                item = self.progress_queue.get_nowait()
+            except Exception:
+                return
+            self.plane.live.fold(str(item.get("stream", "")), item)
+
+    def _pop(self, future: Future) -> Tuple[int, Optional[str]]:
+        self.running_since.pop(future, None)
+        return self.pending.pop(future)
+
+    def _abandon(self, future: Future) -> Attempt:
+        index, stream = self._pop(future)
+        return Attempt(index, "abandoned", stream=stream)
+
+    def _restart(self, why: str) -> List[Attempt]:
+        """Tear the pool down and respawn it; its innocent in-flight
+        attempts come back abandoned, to requeue uncharged."""
+        abandoned = [self._abandon(f) for f in list(self.pending)]
+        _kill_pool(self.pool)
+        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.runner.obs.metrics.counter(POOL_RESPAWNS).inc()
+        self.emit("pool_respawn", workers=self.workers)
+        logger.warning(
+            "%s; pool respawned with %d workers", why, self.workers
+        )
+        return abandoned
+
+    def _result(self, future: Future) -> Attempt:
+        """Report one settled future."""
+        index, stream = self._pop(future)
+        benchmark, config = self.tasks[index]
+        try:
+            outcome = future.result()
+        except BrokenProcessPool as error:
+            self.emit("worker_dead", benchmark=benchmark, config=config.name)
+            return Attempt.lost(
+                index, "crash", f"worker process died mid-run ({error})",
+                stream,
+            )
+        except ReproError as error:
+            # A library error raised outside the worker's own capture
+            # (e.g. payload validation in the worker's runner setup).
+            return Attempt(index, "error", info=error_info(error),
+                           stream=stream)
+        except Exception as error:
+            raise HarnessError(
+                f"worker failed on {benchmark} ({config.name}): {error}"
+            ) from error
+        return worker_attempt(index, outcome, stream)
+
+    def poll(self, timeout: Optional[float], queued: int) -> List[Attempt]:
+        if not self.pending:
+            time.sleep(timeout if timeout is not None else 0.01)
+            return []
+        if self.policy.timeout is not None:
+            timeout = (_TIMEOUT_TICK if timeout is None
+                       else min(timeout, _TIMEOUT_TICK))
+        done, _ = wait(
+            set(self.pending), timeout=timeout, return_when=FIRST_COMPLETED
+        )
+        self._drain_streams()
+        settled = [self._result(future) for future in done]
+        if any(attempt.kind == "crash" for attempt in settled):
+            # Every other in-flight future is doomed too; drain them
+            # (each crash charges that task an attempt), requeue what is
+            # still unsettled at its current attempt count, respawn.
+            doomed, _ = wait(set(self.pending), timeout=_DRAIN_SECONDS)
+            settled += [self._result(future) for future in doomed]
+            return settled + self._restart("worker pool died")
+        if self.policy.timeout is None:
+            return settled
+        # Per-run timeout bookkeeping: clocks start when a future is
+        # first observed running (dispatched to a worker), not when it
+        # was submitted to the queue.
+        now = time.monotonic()
+        for future in self.pending:
+            if future not in self.running_since and future.running():
+                self.running_since[future] = now
+        timed_out = [
+            future for future, began in self.running_since.items()
+            if now - began > self.policy.timeout
+        ]
+        if not timed_out:
+            return settled
+        # A running call cannot be interrupted; tear the pool down,
+        # charge the timed-out runs, requeue the innocents as-is.
+        message = f"run exceeded per-run timeout of {self.policy.timeout}s"
+        for future in timed_out:
+            index, stream = self._pop(future)
+            settled.append(Attempt.lost(index, "timeout", message, stream))
+        return settled + self._restart(
+            f"per-run timeout ({self.policy.timeout:.1f}s) hit"
+        )

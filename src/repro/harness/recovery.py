@@ -1,9 +1,13 @@
-"""Fault tolerance for suite execution: policies, failures, journaling.
+"""Fault-tolerant suite execution: the driver, policies, journaling.
 
 One failed (benchmark, config) pipeline must not abort a whole campaign.
-This module supplies the pieces the serial and parallel suite drivers
-share:
+This module holds the one suite driver and the pieces around it:
 
+* :func:`run_tasks` — the driver: attempts, backoff, retries, failure
+  accounting, obs merging and journal hooks, over a :class:`Transport`
+  that only launches attempts and reports how each settled
+  (:class:`InProcess` here; the process pool and the dispatch fleet in
+  :mod:`~repro.harness.parallel` and :mod:`~repro.harness.dispatch`).
 * :class:`FaultPolicy` — bounded retries with deterministic exponential
   backoff, an optional per-run timeout, and a ``fail_fast`` toggle that
   restores abort-on-first-failure semantics.
@@ -53,9 +57,12 @@ from ..obs import (
     RUN_RETRIES,
     RUN_TIMEOUTS,
     RUNS_COMPLETED,
+    WORKER_CRASHES,
     MetricsRegistry,
 )
+from . import faults
 from .cache import CACHE_SCHEMA_VERSION
+from .timing import SuiteTiming
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import BenchmarkRun, ExperimentRunner
@@ -279,7 +286,7 @@ def assemble_outcome(
 
 
 # ----------------------------------------------------------------------
-# per-run timeout (serial path)
+# per-run timeout (in-process transport)
 # ----------------------------------------------------------------------
 @contextmanager
 def run_deadline(seconds: Optional[float]) -> Iterator[None]:
@@ -287,7 +294,7 @@ def run_deadline(seconds: Optional[float]) -> Iterator[None]:
 
     Signal-based, so it interrupts even a hung C-level sleep; only
     installable in the main thread (and on platforms with ``SIGALRM``) —
-    elsewhere it degrades to a no-op, and the parallel path enforces
+    elsewhere it degrades to a no-op, and the worker transports enforce
     timeouts by terminating workers instead.
     """
     if (
@@ -311,80 +318,272 @@ def run_deadline(seconds: Optional[float]) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# serial execution with retries
+# the suite driver
 # ----------------------------------------------------------------------
-def run_tasks_serial(
+@dataclass
+class Attempt:
+    """One attempt as a transport reports it back to the driver.
+
+    ``kind`` is ``ok`` (``run`` set), ``error``, ``crash``, ``timeout``,
+    ``expired`` (lease) — or ``abandoned``: dropped uncharged when its
+    pool was torn down around it.  ``info`` holds the failure fields of
+    :func:`error_info`; ``obs`` and ``stream`` are a worker's shipment
+    and live-telemetry stream id (``None`` in-process).
+    """
+
+    index: int
+    kind: str
+    run: Optional["BenchmarkRun"] = None
+    info: Optional[dict] = None
+    obs: Optional[dict] = None
+    stream: Optional[str] = None
+
+    @classmethod
+    def lost(cls, index: int, kind: str, message: str,
+             stream: Optional[str] = None) -> "Attempt":
+        """A crash, timeout or lease expiry: no worker error to report."""
+        error_type = {"crash": "WorkerCrash", "timeout": "RunTimeout",
+                      "expired": "LeaseExpired"}[kind]
+        return cls(index, kind, stream=stream, info={
+            "error_type": error_type, "error_message": message,
+        })
+
+
+def error_info(error: BaseException) -> dict:
+    """The failure fields of a library error (call inside ``except``)."""
+    return {
+        "error_type": type(error).__name__,
+        "error_message": str(error),
+        "traceback": traceback_module.format_exc(),
+        "stage": getattr(error, "_repro_stage", None),
+    }
+
+
+class Transport:
+    """How a suite's attempts are launched, and how they settle.
+
+    The driver (:func:`run_tasks`) owns all per-task state.  A transport
+    implements ``launch(index, payload) -> bool`` (False: not started,
+    the task stays queued) and ``poll(timeout, queued) -> [Attempt]``
+    (wait up to *timeout* seconds, ``None`` meaning until something
+    settles), reporting every launched attempt exactly once.  Entering
+    it acquires what attempts run on; leaving releases that, also when
+    the driver aborts.
+    """
+
+    #: Worker count recorded in ``runner.timing.jobs``.
+    jobs = 1
+    #: Start attempts strictly in task order: a task waiting out its
+    #: retry backoff holds back every later task.
+    ordered = False
+
+    def __init__(self, runner: "ExperimentRunner",
+                 tasks: Sequence[Tuple[str, MachineConfig]],
+                 policy: FaultPolicy) -> None:
+        self.runner = runner
+        self.tasks = tasks
+        self.policy = policy
+        self.plane = getattr(runner, "telemetry", None)
+
+    def __enter__(self) -> "Transport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def emit(self, kind: str, **fields) -> None:
+        """Record a flight-recorder event when a plane is attached."""
+        if self.plane is not None:
+            self.plane.events.emit(kind, **fields)
+
+
+class InProcess(Transport):
+    """Runs one attempt at a time on the parent runner, bounded by
+    :func:`run_deadline`: no processes, spans nest directly."""
+
+    ordered = True
+    _next: Optional[Tuple[int, dict]] = None
+
+    def launch(self, index: int, payload: dict) -> bool:
+        if self._next is not None:
+            return False
+        self._next = (index, payload)
+        return True
+
+    def poll(self, timeout: Optional[float], queued: int) -> List[Attempt]:
+        if self._next is None:
+            time.sleep(timeout or 0.0)
+            return []
+        (index, payload), self._next = self._next, None
+        faults.set_attempt(payload["attempt"])
+        try:
+            with run_deadline(self.policy.timeout):
+                run = self.runner.run_benchmark(
+                    payload["benchmark"], payload["config"]
+                )
+        except ReproError as error:
+            # Library errors (including injected faults and timeouts)
+            # are retryable run failures; anything else — interrupts,
+            # MemoryError, genuine bugs — still propagates.
+            kind = "timeout" if isinstance(error, RunTimeout) else "error"
+            return [Attempt(index, kind, info=error_info(error))]
+        finally:
+            faults.set_attempt(0)
+        return [Attempt(index, "ok", run=run)]
+
+
+def run_tasks(
     runner: "ExperimentRunner",
     tasks: Sequence[Tuple[str, MachineConfig]],
+    transport: Transport,
     policy: FaultPolicy = DEFAULT_POLICY,
     progress: bool = False,
     on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
     on_failure: Optional[Callable[[int, RunFailure], None]] = None,
 ) -> SuiteOutcome:
-    """Run *tasks* in-process with per-run isolation, retries and timeout.
+    """Run *tasks* over *transport* with retries, backoff and timeouts.
 
-    Mirrors the parallel driver's recovery semantics on one process:
-    each task gets up to ``policy.max_attempts`` attempts with
-    deterministic backoff between them; a task that exhausts its budget
-    becomes a :class:`RunFailure` (or raises, under ``fail_fast``).
+    The one suite driver.  Each task gets up to ``policy.max_attempts``
+    attempts with deterministic backoff between them; one that exhausts
+    its budget becomes a :class:`RunFailure` (or raises, under
+    ``fail_fast``).  Settled attempts' obs payloads merge into the
+    runner (through the live-telemetry plane when one is attached) and
+    ``on_run`` / ``on_failure`` fire as each task settles.  Completed
+    runs come back in task order.
     """
-    from . import faults
-
+    if not tasks:
+        return SuiteOutcome(())
     metrics = runner.obs.metrics
+    plane = getattr(runner, "telemetry", None)
+    runner.timing.jobs = max(runner.timing.jobs, transport.jobs)
+    base = {
+        "sampling": runner.sampling,
+        "cost_model": runner.cost_model,
+        "workload_scale": runner.workload_scale,
+        "methods": runner.methods,
+        "cache_dir": Path(runner.cache.directory),
+        "cache_enabled": runner.cache.enabled,
+        "diagnostics": runner.diagnostics,
+    }
     results: Dict[int, "BenchmarkRun"] = {}
     failures: Dict[int, RunFailure] = {}
-    for index, (benchmark, config) in enumerate(tasks):
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                delay = policy.backoff_seconds(attempt)
-                metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
-                time.sleep(delay)
+    attempts = [0] * len(tasks)
+    eligible = [0.0] * len(tasks)
+    queue = set(range(len(tasks)))
+    in_flight = 0
+
+    def _launch_ready(now: float) -> Optional[float]:
+        """Start every eligible task the transport has room for; return
+        when the next task still backing off becomes eligible."""
+        nonlocal in_flight
+        wake = None
+        for index in sorted(queue):
+            if eligible[index] > now:
+                wake = (eligible[index] if wake is None
+                        else min(wake, eligible[index]))
+                if transport.ordered:
+                    break
+                continue
+            benchmark, config = tasks[index]
+            attempt = attempts[index]
+            payload = dict(
+                base, benchmark=benchmark, config=config, attempt=attempt,
+                trace_ctx=runner.obs.tracer.export_context(
+                    f"{benchmark}:{config.name}:a{attempt}"
+                ),
+            )
+            if not transport.launch(index, payload):
+                break
+            queue.discard(index)
+            in_flight += 1
             if progress:
                 suffix = f" (attempt {attempt + 1})" if attempt else ""
                 logger.info("[%s] %s ...%s", config.name, benchmark, suffix)
-            faults.set_attempt(attempt)
-            try:
-                with run_deadline(policy.timeout):
-                    run = runner.run_benchmark(benchmark, config)
-            except ReproError as error:
-                # Library errors (including injected faults and serial
-                # timeouts) are retryable run failures; anything else —
-                # KeyboardInterrupt, MemoryError, genuine bugs outside
-                # the library's error contract — still propagates.
-                if isinstance(error, RunTimeout):
-                    metrics.counter(RUN_TIMEOUTS).inc()
-                failure = RunFailure.from_exception(
-                    benchmark, config.name, error,
-                    attempts=attempt + 1,
-                    max_attempts=policy.max_attempts,
+        return wake
+
+    def _merge_obs(payload: Optional[dict]) -> None:
+        # Span roots attach under the current span (the suite span), so
+        # the merged trace reads suite -> run -> stages wherever it ran.
+        if payload:
+            runner.timing.merge(SuiteTiming.from_dict(payload["timing"]))
+            runner.obs.merge_dict(payload)
+
+    def _settle(done: Attempt) -> None:
+        index = done.index
+        benchmark, config = tasks[index]
+        landed = done.kind in ("ok", "error")
+        # A landed attempt's streamed deltas retire atomically with its
+        # committed obs payload, so live scrapes never double count; any
+        # other attempt's partial stream is simply dropped.
+        if plane is not None and done.stream is not None:
+            if landed:
+                plane.live.resolve(
+                    done.stream, merge=lambda: _merge_obs(done.obs)
                 )
-                logger.warning("run failed: %s", failure.describe())
-                if attempt + 1 < policy.max_attempts:
-                    metrics.counter(RUN_RETRIES).inc()
-                    plane = getattr(runner, "telemetry", None)
-                    if plane is not None:
-                        plane.events.emit(
-                            "retry", benchmark=benchmark,
-                            config=config.name, attempt=attempt + 1,
-                            error=failure.error_type,
-                        )
-                    continue
-                metrics.counter(RUN_FAILURES).inc()
-                if policy.fail_fast:
-                    raise HarnessError(
-                        f"fail_fast: {failure.describe()}"
-                    ) from error
-                failures[index] = failure
-                if on_failure is not None:
-                    on_failure(index, failure)
-                break
-            finally:
-                faults.set_attempt(0)
-            results[index] = run
+            else:
+                plane.live.discard(done.stream)
+        elif landed:
+            _merge_obs(done.obs)
+        if done.kind == "abandoned":
+            queue.add(index)
+            return
+        if done.kind == "ok":
             metrics.counter(RUNS_COMPLETED).inc()
+            results[index] = done.run
             if on_run is not None:
-                on_run(index, run)
-            break
+                on_run(index, done.run)
+            if progress:
+                logger.info("[%s] %s done", config.name, benchmark)
+            return
+        if done.kind == "crash":
+            metrics.counter(WORKER_CRASHES).inc()
+        elif done.kind == "timeout":
+            metrics.counter(RUN_TIMEOUTS).inc()
+        info = done.info or {}
+        error_type = info.get("error_type", "ReproError")
+        attempts[index] += 1
+        if attempts[index] < policy.max_attempts:
+            delay = policy.backoff_seconds(attempts[index])
+            logger.info(
+                "[%s] %s attempt %d failed (%s); retrying in %.2fs",
+                config.name, benchmark, attempts[index], error_type, delay,
+            )
+            metrics.counter(RUN_RETRIES).inc()
+            metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
+            if plane is not None:
+                plane.events.emit(
+                    "retry", benchmark=benchmark, config=config.name,
+                    attempt=attempts[index], error=error_type,
+                )
+            eligible[index] = time.monotonic() + delay
+            queue.add(index)
+            return
+        failure = RunFailure(
+            benchmark=benchmark,
+            config_name=config.name,
+            attempts=attempts[index],
+            max_attempts=policy.max_attempts,
+            error_type=error_type,
+            error_message=info.get("error_message", ""),
+            traceback=info.get("traceback", ""),
+            stage=info.get("stage"),
+        )
+        logger.warning("run failed: %s", failure.describe())
+        metrics.counter(RUN_FAILURES).inc()
+        if policy.fail_fast:
+            raise HarnessError(f"fail_fast: {failure.describe()}")
+        failures[index] = failure
+        if on_failure is not None:
+            on_failure(index, failure)
+
+    with transport:
+        while queue or in_flight:
+            now = time.monotonic()
+            wake = _launch_ready(now)
+            timeout = None if wake is None else max(wake - now, 0.01)
+            for done in transport.poll(timeout, len(queue)):
+                in_flight -= 1
+                _settle(done)
     return assemble_outcome(tasks, results, failures)
 
 

@@ -50,6 +50,7 @@ from ..sampling.estimate import (
 from ..sampling.points import SamplingPlan
 from ..workloads.registry import benchmark_names, load_trace
 from .cache import ResultCache
+from .dispatch import make_pool
 from .faults import corrupt_cache_entry
 from .recovery import (
     DEFAULT_POLICY,
@@ -57,7 +58,6 @@ from .recovery import (
     RunFailure,
     SuiteJournal,
     SuiteOutcome,
-    run_tasks_serial,
 )
 from .timing import RunTiming, SuiteTiming
 
@@ -254,7 +254,8 @@ class ExperimentRunner:
         #: call; 0 means one worker per CPU).
         self.jobs = jobs
         #: Default execution backend for :meth:`run_suite`: ``None``
-        #: keeps the jobs-based serial/process-pool selection; a
+        #: keeps the jobs-based :class:`~repro.harness.dispatch.LocalPool`
+        #: (in-process or process pool); any other
         #: :class:`~repro.harness.dispatch.Pool` (e.g. the CLI's
         #: ``--dispatch`` backend) takes over task execution wholesale.
         self.pool = None
@@ -609,10 +610,10 @@ class ExperimentRunner:
 
         With ``jobs > 1`` the per-benchmark pipelines fan out over worker
         processes (see :mod:`repro.harness.parallel`); results are
-        identical to the serial path and arrive in suite order.  ``jobs``
-        defaults to the runner's construction-time value; ``jobs=0`` means
-        one worker per CPU.  *progress* logs per-benchmark lines at INFO
-        level (see the CLI's ``-v``).
+        identical to the in-process path and arrive in suite order.
+        ``jobs`` defaults to the runner's construction-time value;
+        ``jobs=0`` means one worker per CPU.  *progress* logs
+        per-benchmark lines at INFO level (see the CLI's ``-v``).
 
         *pool* (default: the runner's :attr:`pool`) swaps the execution
         backend wholesale: any :class:`~repro.harness.dispatch.Pool`,
@@ -643,6 +644,8 @@ class ExperimentRunner:
             chosen = list(names)
         jobs = self.jobs if jobs is None else jobs
         pool = self.pool if pool is None else pool
+        if pool is None:
+            pool = make_pool(jobs=jobs)
         policy = policy if policy is not None else self.policy
         resume = self.resume if resume is None else resume
         tasks = [(name, config) for name in chosen]
@@ -700,15 +703,13 @@ class ExperimentRunner:
             )
             plane.events.emit(
                 "suite_begin", config=config.name, runs=len(tasks),
-                resumed=len(preloaded), jobs=jobs,
-                backend=(pool.describe() if pool is not None else
-                         ("serial" if jobs == 1 else "pool")),
+                resumed=len(preloaded), jobs=jobs, backend=pool.describe(),
             )
         began = time.perf_counter()
         try:
             # The suite span is the parent of every run span below it —
-            # serial runs nest directly; worker span trees are grafted
-            # under it as their payloads merge.
+            # in-process runs nest directly; worker span trees are
+            # grafted under it as their payloads merge.
             with self.obs.tracer.span(
                 "suite",
                 config=config.name,
@@ -716,26 +717,10 @@ class ExperimentRunner:
                 benchmarks=len(remaining),
                 resumed=len(preloaded),
             ):
-                if remaining and pool is not None:
-                    executed = pool.run_tasks(
-                        self, remaining, policy=policy, progress=progress,
-                        on_run=_journal_run, on_failure=_journal_failure,
-                    )
-                elif remaining and jobs != 1 and len(remaining) > 1:
-                    from .parallel import resolve_jobs, run_tasks_parallel
-
-                    executed = run_tasks_parallel(
-                        self, remaining, jobs=resolve_jobs(jobs),
-                        progress=progress, policy=policy,
-                        on_run=_journal_run, on_failure=_journal_failure,
-                    )
-                elif remaining:
-                    executed = run_tasks_serial(
-                        self, remaining, policy=policy, progress=progress,
-                        on_run=_journal_run, on_failure=_journal_failure,
-                    )
-                else:
-                    executed = SuiteOutcome(())
+                executed = pool.run_tasks(
+                    self, remaining, policy=policy, progress=progress,
+                    on_run=_journal_run, on_failure=_journal_failure,
+                )
         finally:
             self.timing.wall_seconds += time.perf_counter() - began
             if plane is not None:
@@ -744,19 +729,11 @@ class ExperimentRunner:
 
         # Reassemble in suite order: journal-restored runs plus whatever
         # just executed (tasks are unique (benchmark, config) pairs).
-        runs_by_name = {run.benchmark: run for run in executed.runs}
-        failures_by_name = {f.benchmark: f for f in executed.failures}
-        runs: List[BenchmarkRun] = []
-        failures = []
-        for index, (name, _) in enumerate(tasks):
-            if index in preloaded:
-                runs.append(preloaded[index])
-            elif name in runs_by_name:
-                runs.append(runs_by_name[name])
-            elif name in failures_by_name:
-                failures.append(failures_by_name[name])
-        self.failures.extend(failures)
-        return SuiteOutcome(runs, failures)
+        done = {run.benchmark: run for run in executed.runs}
+        done.update((tasks[i][0], run) for i, run in preloaded.items())
+        runs = [done[name] for name, _ in tasks if name in done]
+        self.failures.extend(executed.failures)
+        return SuiteOutcome(runs, executed.failures)
 
     def _resolve_journal(
         self, journal: object, config: MachineConfig, names: List[str]

@@ -139,7 +139,6 @@ def _execute_task(
     stale_commit = faults.dispatch_fault("stale_commit", benchmark, attempt)
 
     payload = decode_task_payload(message["payload"])
-    payload["attempt"] = attempt
 
     stop = threading.Event()
 
@@ -191,16 +190,7 @@ def _execute_task(
         stop.set()
         beater.join()
 
-    if outcome[0] == "ok":
-        result = {
-            "type": "result", "lease": lease, "status": "ok",
-            "run": outcome[1], "obs": outcome[2],
-        }
-    else:
-        result = {
-            "type": "result", "lease": lease, "status": "error",
-            "info": outcome[1],
-        }
+    result = {"type": "result", "lease": lease, **outcome}
 
     if stale_commit:
         # Withhold the finished result (heartbeats already stopped): the

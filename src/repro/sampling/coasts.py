@@ -78,12 +78,20 @@ class Coasts:
         #: :meth:`sample`/:meth:`sample_profile` call (the harness fills
         #: in the error attribution after detail simulation).
         self.last_diagnostics: Optional[MethodDiag] = None
+        self._functional: Optional[FunctionalSimulator] = None
+
+    def _simulator(self, trace: Trace) -> FunctionalSimulator:
+        """One functional simulator per trace, counting its passes into
+        the obs registry (when there is one)."""
+        if self._functional is None or self._functional.trace is not trace:
+            metrics = self.obs.metrics if self.obs is not None else None
+            self._functional = FunctionalSimulator(trace, metrics=metrics)
+        return self._functional
 
     # ------------------------------------------------------------------
     def collect_boundaries(self, trace: Trace) -> BoundaryInfo:
         """Step 1: choose top-level cyclic structures, filter by coverage."""
-        functional = FunctionalSimulator(trace)
-        structures = functional.profile_structures()
+        structures = self._simulator(trace).profile_structures()
         nest = trace.program.loops
         kept: List[int] = []
         discarded: List[int] = []
@@ -147,8 +155,7 @@ class Coasts:
     ) -> CoarseIntervalProfile:
         """Step 2: per-instance sub-chunk BBVs for the kept intervals."""
         boundaries = boundaries or self.collect_boundaries(trace)
-        functional = FunctionalSimulator(trace)
-        return functional.profile_coarse_intervals(
+        return self._simulator(trace).profile_coarse_intervals(
             n_segments=self.config.signature_segments,
             bounds=boundaries.bounds,
         )

@@ -74,7 +74,9 @@ class MultiLevelSampler:
         if coarse_plan is None:
             coarse_plan = self.coarse.sample(trace, benchmark=benchmark)
             coarse_diag = self.coarse.last_diagnostics
-        functional = FunctionalSimulator(trace)
+        functional = FunctionalSimulator(
+            trace, metrics=self.obs.metrics if self.obs is not None else None
+        )
 
         points: List[SimulationPoint] = []
         for point in coarse_plan.points:

@@ -169,3 +169,28 @@ class TestExecution:
         assert code == 0
         assert "granularity" in out
         assert "coarse" in out
+
+
+class TestRunReport:
+    def test_run_reports_wall_time_and_outcome(self, capsys, tmp_path,
+                                               monkeypatch):
+        # `repro run` is one run, not a suite: it must still time itself
+        # (no "wall 0.00s") and hand its manifest a one-run outcome,
+        # without writing a suite journal next to the cache.
+        import json
+
+        cache = tmp_path / "cache"
+        manifest = tmp_path / "m.json"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        code = main(["--scale", "0.05", "run", "gzip", "--methods",
+                     "coasts", "multilevel", "--timing",
+                     "--manifest-out", str(manifest)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "wall 0.00s" not in out
+        assert "coasts" in out and "multilevel" in out
+        outcome = json.loads(manifest.read_text())["outcome"]
+        assert outcome["completed"] == 1
+        assert outcome["failed"] == 0
+        assert outcome["wall_seconds"] > 0
+        assert not list(cache.glob("*.journal.jsonl"))
