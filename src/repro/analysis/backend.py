@@ -20,11 +20,16 @@ provably matches the scalar loop —
 * sequential indexed accumulation (``np.add.at`` / ``np.bincount``),
   which add entries in index order exactly as a Python loop does.
 
-BLAS-backed matrix products are deliberately **not** used in these
-kernels: ``A @ B`` blocks and fuses its dot products, so its elements do
-not bit-match per-row ``np.dot`` (verified empirically on this numpy
-build).  The pairwise-compatible formulations are still orders of
-magnitude faster than the scalar loops (see ``repro bench``).
+A BLAS-backed matrix product never yields a returned value: ``A @ B``
+blocks and fuses its dot products (differently per thread count), so its
+elements do not bit-match per-row ``np.dot``.  The one kernel that
+calls BLAS, :func:`~repro.analysis.distance.assign_points`, uses it only
+to *shortlist* candidate centres: the expansion's rounding error has a
+proven bound valid for any summation order, near-tie rows are re-decided
+by the exact broadcast kernel, and every returned distance is recomputed
+exactly — so the labels still match the scalar loop bit for bit.  The
+pairwise-compatible formulations are orders of magnitude faster than the
+scalar loops (see ``repro bench``).
 
 The active backend is process-global.  Select it with
 :func:`set_backend`, temporarily with :func:`use_backend`, or for a

@@ -9,9 +9,12 @@ iteration — exist in a ``vectorized`` and a ``scalar`` implementation
 (:mod:`repro.analysis.backend`).  The pairs consume the identical random
 stream and are bit-identical on labels, centroids and inertia: the
 batched path only uses reductions whose rounding matches the scalar loop
-(innermost-axis pairwise sums, index-order ``np.add.at`` accumulation),
-never BLAS products.  ``tests/test_vectorized.py`` pins this across a
-seed x shape matrix; ``repro bench`` measures the resulting speedup.
+(innermost-axis pairwise sums, index-order ``np.add.at`` accumulation).
+The assignment step's BLAS product only shortlists candidate centres
+under a proven rounding bound; near ties are re-decided and every
+distance recomputed exactly (:func:`~repro.analysis.distance.assign_points`),
+so BLAS never changes a bit.  ``tests/test_vectorized.py`` pins this
+across a seed x shape matrix; ``repro bench`` measures the speedup.
 """
 
 from __future__ import annotations

@@ -689,9 +689,11 @@ class _Fleet(Transport):
                 f"{message.get('traceback', '')}"
             )
         lease_id = message.get("lease", "")
-        lease = self.table.settle(
-            lease_id, ok=(status == "ok"), now=time.monotonic()
-        )
+        # Leases end at their deadline, not at the monitor's next pass:
+        # reclaim anything already expired before gating this result.
+        now = time.monotonic()
+        self._sweep(now)
+        lease = self.table.settle(lease_id, ok=(status == "ok"), now=now)
         if lease is None:
             if self.table.is_partitioned(lease_id):
                 # The partition ate the result; the lease stays active

@@ -22,9 +22,10 @@ is a semicolon-separated list of specs::
   dispatcher (:mod:`repro.harness.dispatch`): ``worker_exit`` (the
   subprocess worker dies the moment it receives the matching task),
   ``heartbeat_drop`` (the worker executes the task but sends no
-  heartbeats), ``partition`` (the dispatcher drops every message
-  concerning the matching lease until the lease is reclaimed,
-  simulating a network partition), ``stale_commit`` (the worker
+  heartbeats, and answers only after its lease has lapsed),
+  ``partition`` (the dispatcher drops every message concerning the
+  matching lease until the lease is reclaimed, simulating a network
+  partition), ``stale_commit`` (the worker
   withholds its finished result until after its lease deadline, so the
   commit must be rejected as stale).
 * ``benchmark`` — benchmark name, or ``*`` for all.

@@ -154,28 +154,28 @@ class SuiteTiming:
 
         Opens a stage span under the record's run span, carrying the
         current attempt number — a retried run therefore yields one run
-        span (with fresh stage children) per attempt.
+        span (with fresh stage children) per attempt.  The stage span is
+        the tracer's active context while the stage runs, so the spans
+        opened by its work (``sampling``, ``fine_clustering``) nest
+        under it.
         """
         if record is None:
             yield
             return
         from . import faults
 
-        span = self.obs.tracer.start_span(
-            name, parent=record.span, attempt=faults.current_attempt()
-        )
         try:
-            faults.fire_stage(record.benchmark, name)
-            yield
+            with self.obs.tracer.span(
+                name, parent=record.span, attempt=faults.current_attempt()
+            ) as span:
+                faults.fire_stage(record.benchmark, name)
+                yield
         except BaseException as error:
             if not hasattr(error, "_repro_stage"):
                 error._repro_stage = name
             if isinstance(error, InjectedFault):
                 self.obs.metrics.counter(FAULTS_INJECTED, site="stage").inc()
-            span.end(error=error)
             raise
-        else:
-            span.end()
         finally:
             record.add_stage(name, span.duration)
             self.obs.metrics.histogram(

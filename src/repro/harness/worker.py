@@ -22,10 +22,12 @@ the shared :class:`~repro.harness.cache.ResultCache`.
 
 Dispatch-level fault injection (``$REPRO_FAULTS``, which crosses the
 process boundary for free) hooks in here: ``worker_exit`` kills the
-worker at task receipt, ``heartbeat_drop`` suppresses heartbeats, and
-``stale_commit`` withholds the finished result (and all heartbeats)
-until shutdown — by which point the lease has certainly been reclaimed,
-so the late commit must be rejected.  See :mod:`repro.harness.faults`.
+worker at task receipt, ``heartbeat_drop`` suppresses heartbeats and
+holds the result until the lease has lapsed (so the dispatcher must
+reclaim it however fast the run was), and ``stale_commit`` withholds
+the finished result (and all heartbeats) until shutdown — by which
+point the lease has certainly been reclaimed, so the late commit must
+be rejected.  See :mod:`repro.harness.faults`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import os
 import sys
 import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, TextIO
@@ -124,6 +127,7 @@ def _execute_task(
     from . import faults
     from .parallel import _worker_run
 
+    received = time.monotonic()
     lease = message["lease"]
     benchmark = message["benchmark"]
     attempt = int(message.get("attempt", 0))
@@ -191,6 +195,14 @@ def _execute_task(
         beater.join()
 
     result = {"type": "result", "lease": lease, **outcome}
+
+    if drop_heartbeats:
+        # A silent worker's lease lapses whether or not its run is
+        # quick: answer only after the deadline (measured from receipt,
+        # which is after the grant), so the result is always stale.
+        deadline = received + float(message["lease_timeout"]) \
+            + heartbeat_interval
+        time.sleep(max(0.0, deadline - time.monotonic()))
 
     if stale_commit:
         # Withhold the finished result (heartbeats already stopped): the

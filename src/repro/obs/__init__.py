@@ -73,6 +73,7 @@ from .metrics import (
     CACHE_CORRUPT,
     CACHE_HITS,
     CACHE_MISSES,
+    CLUSTER_SWEEPS,
     DEFAULT_BUCKETS,
     DETAILED_CALLS,
     DETAILED_INSTRUCTIONS,
@@ -124,6 +125,7 @@ __all__ = [
     "CACHE_CORRUPT",
     "CACHE_HITS",
     "CACHE_MISSES",
+    "CLUSTER_SWEEPS",
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_STREAM_INTERVAL",

@@ -46,6 +46,7 @@ DETAILED_INSTRUCTIONS = "repro_detailed_instructions_total"
 DETAILED_CALLS = "repro_detailed_calls_total"
 FUNCTIONAL_INSTRUCTIONS = "repro_functional_instructions_total"
 PROFILE_PASSES = "repro_profile_passes_total"
+CLUSTER_SWEEPS = "repro_cluster_sweeps_total"
 TRACE_SHM_SHARED = "repro_trace_shm_shared_total"
 TRACE_SHM_ATTACHED = "repro_trace_shm_attached_total"
 TRACE_SHM_FALLBACKS = "repro_trace_shm_fallbacks_total"
@@ -86,6 +87,8 @@ _METRIC_HELP: Dict[str, str] = {
     DETAILED_CALLS: "Detailed-simulation invocations.",
     FUNCTIONAL_INSTRUCTIONS: "Instructions executed functionally.",
     PROFILE_PASSES: "Profiling passes over the instruction trace.",
+    CLUSTER_SWEEPS: "k-means/BIC sweeps run, by phase level (fine, coarse, "
+                    "inpoint).",
     TRACE_SHM_SHARED: "Traces published to shared memory by the driver.",
     TRACE_SHM_ATTACHED: "Worker attachments to a shared-memory trace.",
     TRACE_SHM_FALLBACKS: "Workers that rebuilt a trace after shm fallback.",

@@ -5,6 +5,11 @@ Registration order is reporting order: the paper's four methods first
 this module (which :mod:`repro.samplers` does) is what populates the
 registry, so any process that can run the harness — driver, pool worker,
 dispatched worker — sees the same method set.
+
+SimPoint, EarlySP and stratified sampling are selection rules over one
+shared fine clustering (:meth:`PlanContext.fine_clustering`): the
+nearest point to each centroid, the earliest point within tolerance, and
+a Neyman allocation with seeded draws, respectively.
 """
 
 from __future__ import annotations
@@ -18,6 +23,15 @@ from ..sampling.stratified import StratifiedSampler
 from .registry import PlanContext, register_sampler
 
 
+def _select(sampler: SimPoint, ctx: PlanContext):
+    """Apply a SimPoint-family selection rule to the shared clustering."""
+    plan = sampler.sample(
+        ctx.fine_profile(), benchmark=ctx.benchmark,
+        clustering=ctx.fine_clustering(),
+    )
+    return plan, sampler.last_diagnostics
+
+
 @register_sampler(
     "simpoint",
     "fixed-length SimPoint: BBV k-means, centroid-nearest points",
@@ -26,9 +40,7 @@ from .registry import PlanContext, register_sampler
                   "kmeans_seeds", "bic_threshold", "random_seed"),
 )
 def _build_simpoint(ctx: PlanContext):
-    sampler = SimPoint(ctx.sampling, obs=ctx.obs)
-    plan = sampler.sample(ctx.fine_profile(), benchmark=ctx.benchmark)
-    return plan, sampler.last_diagnostics
+    return _select(SimPoint(ctx.sampling, obs=ctx.obs), ctx)
 
 
 @register_sampler(
@@ -39,9 +51,7 @@ def _build_simpoint(ctx: PlanContext):
                   "kmeans_seeds", "bic_threshold", "random_seed"),
 )
 def _build_early_sp(ctx: PlanContext):
-    sampler = EarlySimPoint(ctx.sampling, obs=ctx.obs)
-    plan = sampler.sample(ctx.fine_profile(), benchmark=ctx.benchmark)
-    return plan, sampler.last_diagnostics
+    return _select(EarlySimPoint(ctx.sampling, obs=ctx.obs), ctx)
 
 
 @register_sampler(
@@ -83,9 +93,7 @@ def _build_multilevel(ctx: PlanContext):
                   "random_seed"),
 )
 def _build_stratified(ctx: PlanContext):
-    sampler = StratifiedSampler(ctx.sampling, obs=ctx.obs)
-    plan = sampler.sample(ctx.fine_profile(), benchmark=ctx.benchmark)
-    return plan, sampler.last_diagnostics
+    return _select(StratifiedSampler(ctx.sampling, obs=ctx.obs), ctx)
 
 
 @register_sampler(

@@ -27,20 +27,25 @@ registry is never empty once ``repro.samplers`` is imported (the harness
 imports it; dispatcher workers therefore self-register too).
 
 :class:`PlanContext` memoises the expensive shared inputs — the fine
-fixed-interval BBV profile and the COASTS coarse plan — so co-scheduled
-methods share them exactly as the pre-registry harness did (bit-for-bit:
-the same profile object, the same coarse clustering).
+fixed-interval BBV profile, the fine phase clustering and the COASTS
+coarse plan — so co-scheduled methods share them (bit-for-bit: the same
+profile object, the same clusterings).  Plan once, select many: SimPoint,
+EarlySP and stratified sampling differ only in which intervals they pick
+from the one fine clustering, so it is computed once per benchmark.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional, Tuple
 
 from ..config import SamplingConfig
 from ..errors import SamplingError
+from ..obs import CLUSTER_SWEEPS
 from ..obs.diag import MethodDiag
 from ..sampling.points import SamplingPlan
+from ..sampling.simpoint import FineClustering, SimPoint
 
 #: Shared inputs a sampler may declare in ``SamplerSpec.requires``.
 KNOWN_REQUIREMENTS: Tuple[str, ...] = ("trace", "fine", "coarse")
@@ -52,11 +57,11 @@ _CONFIG_FIELDS = frozenset(f.name for f in fields(SamplingConfig))
 class PlanContext:
     """Everything a sampler needs to build a plan for one benchmark.
 
-    Shared profiles are memoised so that co-scheduled samplers reuse
-    them: all fine-grained methods see the *same*
-    :class:`~repro.engine.profiles.FixedIntervalProfile` object, and
-    COASTS/multilevel share one coarse clustering, exactly as the
-    hand-wired harness pipeline did.
+    Shared profiles and clusterings are memoised so that co-scheduled
+    samplers reuse them: all fine-grained methods see the *same*
+    :class:`~repro.engine.profiles.FixedIntervalProfile` object, the
+    SimPoint family selects from one fine clustering, and
+    COASTS/multilevel share one coarse clustering.
     """
 
     def __init__(self, trace, sampling: SamplingConfig, benchmark: str,
@@ -69,6 +74,7 @@ class PlanContext:
         self.obs = obs
         self._functional = None
         self._fine_profile = None
+        self._fine_clustering: Optional[FineClustering] = None
         self._coasts: Optional[Tuple[SamplingPlan, Optional[MethodDiag]]] = None
 
     # ------------------------------------------------------------------
@@ -94,6 +100,34 @@ class PlanContext:
                 self.sampling.fine_interval_size
             )
         return self._fine_profile
+
+    def fine_clustering(self) -> FineClustering:
+        """The (memoised) fine phase clustering of :meth:`fine_profile`.
+
+        Exactly the clustering a default-configured :class:`SimPoint`
+        computes for itself — projected features, labels, centroids and
+        quality view — run once per benchmark inside a
+        ``fine_clustering`` span and counted as one fine sweep.
+        """
+        if self._fine_clustering is None:
+            profile = self.fine_profile()
+            span_ctx = (
+                self.obs.tracer.span(
+                    "fine_clustering", benchmark=self.benchmark
+                )
+                if self.obs is not None else nullcontext()
+            )
+            with span_ctx as span:
+                clustering = SimPoint(self.sampling).cluster(profile)
+                if span is not None:
+                    span.set(
+                        n_intervals=profile.n_intervals,
+                        n_clusters=clustering.k,
+                    )
+            if self.obs is not None:
+                self.obs.metrics.counter(CLUSTER_SWEEPS, level="fine").inc()
+            self._fine_clustering = clustering
+        return self._fine_clustering
 
     def coasts(self) -> Tuple[SamplingPlan, Optional[MethodDiag]]:
         """The (memoised) COASTS coarse plan and its diagnostics."""

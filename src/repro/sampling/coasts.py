@@ -36,7 +36,7 @@ from ..engine.functional import FunctionalSimulator
 from ..engine.profiles import CoarseIntervalProfile
 from ..engine.trace import Trace
 from ..errors import SamplingError
-from ..obs import ObsContext
+from ..obs import CLUSTER_SWEEPS, ObsContext
 from ..obs.diag import MethodDiag, build_method_diag
 from .points import SamplingPlan, SimulationPoint
 
@@ -203,6 +203,8 @@ class Coasts:
                 n_seeds=self.config.kmeans_seeds,
                 threshold=self.config.bic_threshold,
             )
+            if self.obs is not None:
+                self.obs.metrics.counter(CLUSTER_SWEEPS, level="coarse").inc()
             labels = result.labels
             k = result.k
             picks = earliest_member(labels, k)

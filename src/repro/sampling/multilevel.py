@@ -23,7 +23,7 @@ from ..config import DEFAULT_SAMPLING, SamplingConfig
 from ..engine.functional import FunctionalSimulator
 from ..engine.trace import Trace
 from ..errors import SamplingError
-from ..obs import ObsContext
+from ..obs import CLUSTER_SWEEPS, ObsContext
 from ..obs.diag import MethodDiag
 from .coasts import Coasts
 from .points import SamplingPlan, SimulationPoint
@@ -127,6 +127,8 @@ class MultiLevelSampler:
         fine_plan = self.fine.sample(
             profile, benchmark=f"{benchmark}:{point.phase}"
         )
+        if self.obs is not None:
+            self.obs.metrics.counter(CLUSTER_SWEEPS, level="inpoint").inc()
         children = tuple(
             SimulationPoint(
                 start=child.start,

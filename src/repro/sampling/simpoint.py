@@ -18,14 +18,15 @@ bounds clustering cost on long programs.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.bbv import normalize_rows
 from ..analysis.bic import cluster_with_bic
 from ..analysis.distance import assign_points, nearest_to_centroid
-from ..analysis.kmeans import KMeansResult, cluster_quality
+from ..analysis.kmeans import ClusterQuality, KMeansResult, cluster_quality
 from ..analysis.metrics import metric_matrix
 from ..analysis.projection import RandomProjection
 from ..config import DEFAULT_SAMPLING, SamplingConfig
@@ -38,6 +39,27 @@ from .points import SamplingPlan, SimulationPoint
 
 #: Clustering runs on at most this many intervals (SimPoint-style sampling).
 DEFAULT_MAX_CLUSTER_SAMPLES = 4000
+
+
+@dataclass(frozen=True)
+class FineClustering:
+    """One fine-level phase clustering of a fixed-interval profile.
+
+    Everything a SimPoint-family selection rule reads: the projected
+    features, every interval's phase label, the phase centroids and the
+    :func:`~repro.analysis.kmeans.cluster_quality` view of the
+    assignment.  Built by :meth:`SimPoint.cluster`.
+    """
+
+    features: np.ndarray   # (n_intervals, dims) projected BBVs
+    labels: np.ndarray     # (n_intervals,) phase of each interval
+    centroids: np.ndarray  # (k, dims)
+    quality: ClusterQuality
+
+    @property
+    def k(self) -> int:
+        """Number of phases."""
+        return len(self.centroids)
 
 
 class SimPoint:
@@ -72,21 +94,54 @@ class SimPoint:
         self.last_diagnostics: Optional[MethodDiag] = None
 
     # ------------------------------------------------------------------
+    def cluster(
+        self,
+        profile: FixedIntervalProfile,
+        program: Optional[Program] = None,
+    ) -> FineClustering:
+        """Steps 2-3: project the profile and run the k-means/BIC sweep.
+
+        This is the expensive part of every SimPoint-family sampler and
+        does not depend on the selection rule, so one result can feed
+        several samplers (:meth:`sample`'s *clustering* argument).
+        """
+        self._check_profile(profile)
+        features = self._project(profile, program)
+        labels, centroids = self._cluster(features)
+        # Quality statistics over the full assignment (clustering may
+        # have fitted a sub-sample; labels cover every interval).  The
+        # inertia slot is unused by cluster_quality, so a zero keeps
+        # this a view rather than a re-clustering.
+        quality = cluster_quality(
+            features,
+            KMeansResult(centroids=centroids, labels=labels, inertia=0.0),
+        )
+        return FineClustering(
+            features=features, labels=labels, centroids=centroids,
+            quality=quality,
+        )
+
     def sample(
         self,
         profile: FixedIntervalProfile,
         benchmark: str = "",
         program: Optional[Program] = None,
+        clustering: Optional[FineClustering] = None,
     ) -> SamplingPlan:
         """Select simulation points from a fixed-interval profile.
 
         *program* is required for the non-BBV metrics, which need the loop
-        nest / region table to fold the profile.
+        nest / region table to fold the profile.  An existing
+        *clustering* of *profile* (from :meth:`cluster`) skips the sweep,
+        so samplers that differ only in their selection rule can share
+        one; without it the sampler clusters for itself.
         """
-        if profile.interval_size != self.interval_size:
+        self._check_profile(profile)
+        if clustering is not None and len(clustering.labels) != \
+                profile.n_intervals:
             raise SamplingError(
-                f"profile interval size {profile.interval_size} != sampler's "
-                f"{self.interval_size}"
+                f"clustering covers {len(clustering.labels)} intervals, "
+                f"profile has {profile.n_intervals}"
             )
         span_ctx = (
             self.obs.tracer.span(
@@ -95,35 +150,13 @@ class SimPoint:
             if self.obs is not None else nullcontext()
         )
         with span_ctx as span:
-            features = self._project(profile, program)
-            labels, centroids, k = self._cluster(features)
-            weights = self._weights(profile, labels, k)
-            picks = self._select(features, labels, centroids)
-
-            points: List[SimulationPoint] = []
-            for phase in range(k):
-                pick = int(picks[phase])
-                if pick < 0:
-                    continue
-                points.append(
-                    SimulationPoint(
-                        start=int(profile.starts[pick]),
-                        end=profile.end_of(pick),
-                        weight=float(weights[phase]),
-                        phase=phase,
-                        interval_index=pick,
-                    )
-                )
+            if clustering is None:
+                clustering = self.cluster(profile, program)
+            k = clustering.k
+            weights = self._weights(profile, clustering.labels, k)
+            points, picks = self._points(profile, clustering, weights)
             points.sort(key=lambda p: p.start)
 
-            # Quality statistics over the full assignment (clustering may
-            # have fitted a sub-sample; labels cover every interval).  The
-            # inertia slot is unused by cluster_quality, so a zero keeps
-            # this a view rather than a re-clustering.
-            quality = cluster_quality(
-                features,
-                KMeansResult(centroids=centroids, labels=labels, inertia=0.0),
-            )
             interval_bounds = [
                 (int(profile.starts[i]), profile.end_of(i))
                 for i in range(profile.n_intervals)
@@ -131,20 +164,22 @@ class SimPoint:
             self.last_diagnostics = build_method_diag(
                 method=self.method_name,
                 benchmark=benchmark,
-                labels=labels,
+                labels=clustering.labels,
                 picks=picks,
                 weights=weights,
                 bounds=interval_bounds,
                 instructions=profile.instructions,
-                quality=quality,
+                quality=clustering.quality,
                 resample_threshold=self.config.resample_threshold,
             )
             if span is not None:
                 span.set(
                     n_intervals=profile.n_intervals,
                     n_clusters=k,
-                    oversized_points=self.last_diagnostics.n_oversized,
-                    mean_silhouette=round(quality.mean_silhouette, 4),
+                    **self._span_attributes(points),
+                    mean_silhouette=round(
+                        clustering.quality.mean_silhouette, 4
+                    ),
                 )
             return SamplingPlan(
                 method=self.method_name,
@@ -154,6 +189,49 @@ class SimPoint:
                 n_clusters=k,
                 origin=int(profile.starts[0]),
             )
+
+    # ------------------------------------------------------------------
+    def _check_profile(self, profile: FixedIntervalProfile) -> None:
+        if profile.interval_size != self.interval_size:
+            raise SamplingError(
+                f"profile interval size {profile.interval_size} != sampler's "
+                f"{self.interval_size}"
+            )
+
+    def _points(
+        self,
+        profile: FixedIntervalProfile,
+        clustering: FineClustering,
+        weights: np.ndarray,
+    ) -> Tuple[List[SimulationPoint], np.ndarray]:
+        """Point selection: one representative per phase (:meth:`_select`)
+        carrying the phase's instruction share.
+
+        Returns the points and the per-phase reporting representatives
+        (-1 for an empty phase).
+        """
+        picks = self._select(
+            clustering.features, clustering.labels, clustering.centroids
+        )
+        points: List[SimulationPoint] = []
+        for phase in range(clustering.k):
+            pick = int(picks[phase])
+            if pick < 0:
+                continue
+            points.append(
+                SimulationPoint(
+                    start=int(profile.starts[pick]),
+                    end=profile.end_of(pick),
+                    weight=float(weights[phase]),
+                    phase=phase,
+                    interval_index=pick,
+                )
+            )
+        return points, picks
+
+    def _span_attributes(self, points: List[SimulationPoint]) -> dict:
+        """Method-specific attributes of the ``sampling`` span."""
+        return {"oversized_points": self.last_diagnostics.n_oversized}
 
     # ------------------------------------------------------------------
     def _project(
@@ -196,7 +274,7 @@ class SimPoint:
         )
         centroids = result.centroids
         labels, _ = assign_points(features, centroids)
-        return labels, centroids, result.k
+        return labels, centroids
 
     @staticmethod
     def _weights(

@@ -23,116 +23,69 @@ against a single unrepresentative pick.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..analysis.kmeans import KMeansResult, cluster_quality
 from ..errors import SamplingError
-from ..isa.program import Program
-from ..obs.diag import build_method_diag
-from .points import SamplingPlan, SimulationPoint
-from .simpoint import SimPoint
+from .points import SimulationPoint
+from .simpoint import FineClustering, SimPoint
 
 
 class StratifiedSampler(SimPoint):
-    """BBV-cluster strata with variance-proportional budget allocation."""
+    """BBV-cluster strata with variance-proportional budget allocation.
+
+    Shares everything with :class:`SimPoint` but the point-selection
+    step: strata are SimPoint's phases, and each stratum contributes a
+    Neyman-allocated, seeded random sample instead of one
+    centroid-nearest representative.
+    """
 
     method_name = "stratified"
 
     # ------------------------------------------------------------------
-    def sample(
+    def _points(
         self,
         profile,
-        benchmark: str = "",
-        program: Optional[Program] = None,
-    ) -> SamplingPlan:
-        """Build the stratified plan from a fixed-interval profile."""
-        if profile.interval_size != self.interval_size:
-            raise SamplingError(
-                f"profile interval size {profile.interval_size} != sampler's "
-                f"{self.interval_size}"
-            )
-        span_ctx = (
-            self.obs.tracer.span(
-                "sampling", method=self.method_name, benchmark=benchmark
-            )
-            if self.obs is not None else nullcontext()
-        )
-        with span_ctx as span:
-            features = self._project(profile, program)
-            labels, centroids, k = self._cluster(features)
-            weights = self._weights(profile, labels, k)
-            quality = cluster_quality(
-                features,
-                KMeansResult(centroids=centroids, labels=labels, inertia=0.0),
-            )
+        clustering: FineClustering,
+        weights: np.ndarray,
+    ) -> Tuple[List[SimulationPoint], np.ndarray]:
+        """Neyman allocation over the strata, then seeded draws."""
+        labels, quality, k = clustering.labels, clustering.quality, clustering.k
+        insts = profile.instructions.astype(np.float64)
+        allocation = self._allocate(labels, weights, quality, k)
 
-            insts = profile.instructions.astype(np.float64)
-            allocation = self._allocate(labels, weights, quality, k)
-
-            rng = np.random.default_rng(self.config.random_seed)
-            points: List[SimulationPoint] = []
-            picks = np.full(k, -1, dtype=np.int64)
-            for phase in range(k):
-                quota = allocation.get(phase, 0)
-                if quota <= 0:
-                    continue
-                members = np.flatnonzero(labels == phase)
-                chosen = np.sort(
-                    rng.choice(members, size=quota, replace=False)
+        rng = np.random.default_rng(self.config.random_seed)
+        points: List[SimulationPoint] = []
+        picks = np.full(k, -1, dtype=np.int64)
+        for phase in range(k):
+            quota = allocation.get(phase, 0)
+            if quota <= 0:
+                continue
+            members = np.flatnonzero(labels == phase)
+            chosen = np.sort(rng.choice(members, size=quota, replace=False))
+            sample_inst = float(insts[chosen].sum())
+            for index in chosen:
+                index = int(index)
+                share = (
+                    insts[index] / sample_inst if sample_inst > 0
+                    else 1.0 / len(chosen)
                 )
-                sample_inst = float(insts[chosen].sum())
-                for index in chosen:
-                    index = int(index)
-                    share = (
-                        insts[index] / sample_inst if sample_inst > 0
-                        else 1.0 / len(chosen)
-                    )
-                    points.append(SimulationPoint(
-                        start=int(profile.starts[index]),
-                        end=profile.end_of(index),
-                        weight=float(weights[phase]) * share,
-                        phase=phase,
-                        interval_index=index,
-                    ))
-                # Reporting representative: the sampled member closest to
-                # its centroid (the estimate itself uses every sample).
-                distances = quality.member_distances[chosen]
-                picks[phase] = int(chosen[int(np.argmin(distances))])
-            points.sort(key=lambda p: p.start)
+                points.append(SimulationPoint(
+                    start=int(profile.starts[index]),
+                    end=profile.end_of(index),
+                    weight=float(weights[phase]) * share,
+                    phase=phase,
+                    interval_index=index,
+                ))
+            # Reporting representative: the sampled member closest to
+            # its centroid (the estimate itself uses every sample).
+            distances = quality.member_distances[chosen]
+            picks[phase] = int(chosen[int(np.argmin(distances))])
+        return points, picks
 
-            interval_bounds = [
-                (int(profile.starts[i]), profile.end_of(i))
-                for i in range(profile.n_intervals)
-            ]
-            self.last_diagnostics = build_method_diag(
-                method=self.method_name,
-                benchmark=benchmark,
-                labels=labels,
-                picks=picks,
-                weights=weights,
-                bounds=interval_bounds,
-                instructions=profile.instructions,
-                quality=quality,
-                resample_threshold=self.config.resample_threshold,
-            )
-            if span is not None:
-                span.set(
-                    n_intervals=profile.n_intervals,
-                    n_clusters=k,
-                    budget=sum(allocation.values()),
-                    mean_silhouette=round(quality.mean_silhouette, 4),
-                )
-            return SamplingPlan(
-                method=self.method_name,
-                benchmark=benchmark,
-                points=tuple(points),
-                total_instructions=profile.total_instructions,
-                n_clusters=k,
-                origin=int(profile.starts[0]),
-            )
+    def _span_attributes(self, points: List[SimulationPoint]) -> dict:
+        return {"budget": len(points)}
 
     # ------------------------------------------------------------------
     def _allocate(
