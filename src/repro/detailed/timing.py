@@ -18,19 +18,36 @@ Load miss penalties are de-rated by a memory-level-parallelism factor
 derived from the LSQ depth.  All quantities are deterministic; fractional
 expected counts (occupancy hits, statistical mispredicts) accumulate as
 floats.
+
+**The walk.**  :meth:`TimingSimulator.simulate_range` walks segment
+indices straight over the trace's flat arrays (held as Python lists),
+rounding the range outward to whole reps with the same integer arithmetic
+as :meth:`~repro.engine.trace.Trace.clip`.  Each touched segment is one
+*piece*: a whole-rep sub-range of it.  Everything that depends only on a
+segment's *shape* ``(blocks, loop_id)`` -- instructions and cycles per
+rep, the block tuple, the data-dependent branch rate sum, the loop
+back-edge block -- is built once per distinct shape.  A data *visit* is
+keyed by ``(visit_id, block_id)``, where ``visit_id`` is interned per
+segment **value** ``(blocks, reps, outer_index, iter_base, loop_id)``:
+two value-equal segments continue one visit, whatever their positions in
+the trace.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..config import MachineConfig
-from ..engine.trace import SegmentPiece, Trace
-from ..errors import SimulationError
-from ..obs import DETAILED_CALLS, DETAILED_INSTRUCTIONS, MetricsRegistry
+from ..engine.trace import Trace
+from ..errors import SimulationError, TraceError
+from ..obs import (
+    DETAILED_CALLS,
+    DETAILED_INSTRUCTIONS,
+    DETAILED_PIECES,
+    MetricsRegistry,
+)
 from ..uarch.branch import (
     advance_loop_branch,
     exit_loop_branch,
@@ -66,22 +83,23 @@ class _BlockMemory:
 
 @dataclass
 class _SegmentStatics:
-    """Per-segment constants hoisted out of the piece-simulation loop.
+    """Per-shape constants hoisted out of the piece-simulation loop.
 
     Everything that does not depend on machine state is reduced to batch
-    quantities once per segment: instructions and steady-state cycles per
-    rep, and the aggregate expected-mispredict rate of the segment's
-    data-dependent branches (stationary rates touch no predictor state, so
-    their per-rep sum folds into one multiply per piece).  Only the
-    state-carrying accesses — instruction fetch, data hierarchy, the loop
-    back-edge counter — remain in the per-block loop, in the exact order
-    the scalar loop used, so machine-state evolution is unchanged.
+    quantities once per segment shape ``(blocks, loop_id)``: instructions
+    and steady-state cycles per rep, and the aggregate expected-mispredict
+    rate of the shape's data-dependent branches (stationary rates touch no
+    predictor state, so their per-rep sum folds into one multiply per
+    piece).  Only the state-carrying accesses — instruction fetch, data
+    hierarchy, the loop back-edge counter — remain in the per-block loop,
+    in the exact order the scalar loop used, so machine-state evolution is
+    unchanged.
     """
 
     rep_insts: int
     rep_cycles: float
     #: Per block, in execution order: (block_id, inst_lines, memory or None).
-    blocks: Tuple[Tuple[int, np.ndarray, Optional[_BlockMemory]], ...]
+    blocks: Tuple[Tuple[int, Tuple[int, ...], Optional[_BlockMemory]], ...]
     #: Data-dependent (non-loop) branches per rep and their rate sum.
     plain_branches: int
     plain_rate_sum: float
@@ -143,7 +161,7 @@ class TimingSimulator:
         line = config.dcache.line_size
         iline = config.icache.line_size
         self._block_memory: List[Optional[_BlockMemory]] = []
-        self._inst_lines: List[np.ndarray] = []
+        self._inst_lines: List[Tuple[int, ...]] = []
         self._data_branch_rate: List[float] = []
         self._ends_in_branch: List[bool] = []
         code_lines = set()
@@ -170,8 +188,8 @@ class TimingSimulator:
                 )
             else:
                 self._block_memory.append(None)
-            lines = np.array(list(block.instruction_lines(iline)), dtype=np.int64)
-            code_lines.update(int(l) for l in lines)
+            lines = tuple(int(l) for l in block.instruction_lines(iline))
+            code_lines.update(lines)
             self._inst_lines.append(lines)
             self._ends_in_branch.append(block.ends_in_branch)
             self._data_branch_rate.append(
@@ -180,44 +198,67 @@ class TimingSimulator:
                 else 0.0
             )
         self._code_lines = len(code_lines)
-        self._seg_statics: List[Optional[_SegmentStatics]] = \
-            [None] * trace.n_segments
 
-    def _statics_of(self, seg_index: int) -> _SegmentStatics:
-        """The (lazily built, memoised) statics of segment *seg_index*."""
-        statics = self._seg_statics[seg_index]
-        if statics is None:
-            seg = self.trace.segment_at(seg_index)
-            last_index = len(seg.blocks) - 1
-            plain_branches = 0
-            plain_rate_sum = 0.0
-            loop_branch_block = -1
-            rep_cycles = 0.0
-            blocks = []
-            for position, block_id in enumerate(seg.blocks):
-                rep_cycles += self.base_cycles[block_id]
-                blocks.append((
-                    block_id,
-                    self._inst_lines[block_id],
-                    self._block_memory[block_id],
-                ))
-                if not self._ends_in_branch[block_id]:
-                    continue
-                if seg.loop_id >= 0 and position == last_index:
-                    loop_branch_block = block_id
-                else:
-                    plain_branches += 1
-                    plain_rate_sum += self._data_branch_rate[block_id]
-            statics = _SegmentStatics(
-                rep_insts=int(self.trace.rep_lengths[seg_index]),
-                rep_cycles=rep_cycles,
-                blocks=tuple(blocks),
-                plain_branches=plain_branches,
-                plain_rate_sum=plain_rate_sum,
-                loop_branch_block=loop_branch_block,
-            )
-            self._seg_statics[seg_index] = statics
-        return statics
+        # Walk tables: the trace's arrays as Python lists, which index
+        # several times cheaper than numpy scalars in the per-piece loop.
+        self._seg_starts: List[int] = trace.seg_starts.tolist()
+        self._rep_lengths: List[int] = trace.rep_lengths.tolist()
+        self._reps: List[int] = trace.reps.tolist()
+        flat = trace.flat_blocks.tolist()
+        offsets = trace.flat_offsets.tolist()
+        shapes = list(zip(
+            [tuple(flat[lo:hi]) for lo, hi in zip(offsets, offsets[1:])],
+            trace.loop_id.tolist(),
+        ))
+        # One statics object per distinct shape (blocks, loop_id) ...
+        by_shape: Dict[Tuple[Tuple[int, ...], int], _SegmentStatics] = {}
+        for shape, rep_insts in zip(shapes, self._rep_lengths):
+            if shape not in by_shape:
+                by_shape[shape] = self._build_statics(*shape, rep_insts)
+        self._seg_statics: List[_SegmentStatics] = [
+            by_shape[shape] for shape in shapes
+        ]
+        # ... and one visit id per distinct segment value.  Visit identity
+        # is value equality: value-equal segments share an id, exactly as
+        # equal Segment objects compare equal.
+        values: Dict[tuple, int] = {}
+        self._visit_ids: List[int] = [
+            values.setdefault(value, len(values))
+            for value in zip(shapes, self._reps, trace.outer_index.tolist(),
+                             trace.iter_base.tolist())
+        ]
+
+    def _build_statics(
+        self, blocks: Tuple[int, ...], loop_id: int, rep_insts: int
+    ) -> _SegmentStatics:
+        last_index = len(blocks) - 1
+        plain_branches = 0
+        plain_rate_sum = 0.0
+        loop_branch_block = -1
+        rep_cycles = 0.0
+        per_block = []
+        for position, block_id in enumerate(blocks):
+            rep_cycles += self.base_cycles[block_id]
+            per_block.append((
+                block_id,
+                self._inst_lines[block_id],
+                self._block_memory[block_id],
+            ))
+            if not self._ends_in_branch[block_id]:
+                continue
+            if loop_id >= 0 and position == last_index:
+                loop_branch_block = block_id
+            else:
+                plain_branches += 1
+                plain_rate_sum += self._data_branch_rate[block_id]
+        return _SegmentStatics(
+            rep_insts=rep_insts,
+            rep_cycles=rep_cycles,
+            blocks=tuple(per_block),
+            plain_branches=plain_branches,
+            plain_rate_sum=plain_rate_sum,
+            loop_branch_block=loop_branch_block,
+        )
 
     # ------------------------------------------------------------------
     def new_state(self) -> MachineState:
@@ -239,21 +280,153 @@ class TimingSimulator:
 
         *state* carries cache/predictor contents across calls; *result*
         accumulates counters (pass a throwaway result to warm state without
-        keeping the numbers).
+        keeping the numbers).  An empty range, or one reaching outside
+        the trace, raises :class:`TraceError`.
         """
+        seg_starts = self._seg_starts
+        if start < 0 or end > seg_starts[-1] or start >= end:
+            raise TraceError(f"bad clip range [{start}, {end})")
         if state is None:
             state = self.new_state()
         if result is None:
             result = SimulationResult()
-        before = result.instructions
-        for piece in self.trace.clip(start, end):
-            self._simulate_piece(piece, state, result)
+        rep_lengths = self._rep_lengths
+        seg_reps = self._reps
+        seg_statics = self._seg_statics
+        visit_ids = self._visit_ids
+        n_segments = len(seg_statics)
+        data = state.data
+        il1 = state.il1
+        code_lines = state.code_lines
+        loop_counters = state.loop_counters
+        branch_penalty = self.branch_penalty
+        l1i_penalty = self.l1i_penalty
+        l1d_penalty = self.l1d_penalty
+        l2_penalty = self.l2_penalty
+        mlp = self.mlp
+
+        # Counters accumulate in locals, each in the order the per-piece
+        # updates would have applied them to *result*.
+        before = instructions = result.instructions
+        total_cycles = result.cycles
+        l1d_accesses = result.l1d_accesses
+        l1d_misses = result.l1d_misses
+        l1i_accesses = result.l1i_accesses
+        l1i_total_misses = result.l1i_misses
+        l2_accesses = result.l2_accesses
+        l2_misses = result.l2_misses
+        branches = result.branches
+        total_mispredicts = result.mispredicts
+
+        index = bisect_right(seg_starts, start) - 1
+        first_index = index
+        while index < n_segments:
+            seg_start = seg_starts[index]
+            if seg_start >= end:
+                break
+            reps = seg_reps[index]
+            if start <= seg_start and seg_starts[index + 1] <= end:
+                first = 0
+                n = reps
+            else:
+                # Outward rounding to whole reps, as Trace.clip does.
+                rep_len = rep_lengths[index]
+                lo = max(start, seg_start)
+                hi = min(end, seg_starts[index + 1])
+                first = int((lo - seg_start) // rep_len)
+                last = int((hi - seg_start + rep_len - 1) // rep_len)
+                n = min(max(last, first + 1), reps) - first
+            statics = seg_statics[index]
+            visit_id = visit_ids[index]
+            index += 1
+
+            # Batched stateless quantities: instruction count, steady-state
+            # cycles, expected mispredicts of data-dependent branches.
+            instructions += statics.rep_insts * n
+            cycles = statics.rep_cycles * n
+            if statics.plain_branches:
+                expected = n * statics.plain_rate_sum
+                branches += statics.plain_branches * n
+                total_mispredicts += expected
+                cycles += expected * branch_penalty
+
+            # State-carrying accesses stay in block order: instruction
+            # fetch and data touches of one block interleave exactly as the
+            # scalar loop interleaved them (they share the L2 occupancy
+            # ledger, whose recency ordering is order-sensitive).
+            for block_id, ilines, memory in statics.blocks:
+                # --- instruction fetch ------------------------------------
+                # Each fetch line is touched through the real L1I once per
+                # piece; the remaining n-1 rounds re-fetch the same lines
+                # back-to-back and hit by construction.
+                l1i_misses, miss_lines = il1.access_run(ilines)
+                l1i_accesses += len(ilines) * n
+                l1i_total_misses += l1i_misses
+                if l1i_misses:
+                    l2i_misses = data.access_code(code_lines,
+                                                  float(len(miss_lines)))
+                    l2_accesses += l1i_misses
+                    l2_misses += l2i_misses
+                    cycles += (
+                        l1i_misses * l1i_penalty + l2i_misses * l2_penalty
+                    )
+
+                # --- data accesses ----------------------------------------
+                if memory is not None:
+                    touches_per_rep = memory.touches_per_rep
+                    touches = max(1.0, touches_per_rep * n)
+                    visit_touches = max(1.0, touches_per_rep * reps)
+                    l1m, l2m = data.access_data(
+                        memory.region, memory.ws_lines, (visit_id, block_id),
+                        visit_touches, touches,
+                    )
+                    l1d_accesses += memory.n_mem * n
+                    l1d_misses += l1m
+                    l2_accesses += l1m
+                    l2_misses += l2m
+                    cycles += (
+                        (l1m * l1d_penalty + l2m * l2_penalty)
+                        * memory.load_fraction / mlp
+                    )
+
+            # --- loop back-edge branch -----------------------------------
+            # The 2-bit counter is private per-branch state: running it
+            # after the cache accesses cannot change any cache outcome.
+            block_id = statics.loop_branch_block
+            if block_id >= 0:
+                includes_end = first + n == reps
+                counter = loop_counters.get(block_id, 1)
+                takens = n - 1 if includes_end else n
+                counter, mis = advance_loop_branch(counter, takens)
+                mispredicts = float(mis)
+                if includes_end:
+                    counter, exit_mis = exit_loop_branch(counter)
+                    mispredicts += exit_mis
+                loop_counters[block_id] = counter
+                branches += n
+                total_mispredicts += mispredicts
+                cycles += mispredicts * branch_penalty
+
+            total_cycles += cycles
+
+        result.instructions = instructions
+        result.cycles = total_cycles
+        result.l1d_accesses = l1d_accesses
+        result.l1d_misses = l1d_misses
+        result.l1i_accesses = l1i_accesses
+        result.l1i_misses = l1i_total_misses
+        result.l2_accesses = l2_accesses
+        result.l2_misses = l2_misses
+        result.branches = branches
+        result.mispredicts = total_mispredicts
         # Coarse accounting only: simulate_full/simulate_point delegate
         # here, so every detail-simulated instruction is counted exactly
         # once, outside the hot loop.
-        self.metrics.counter(DETAILED_CALLS).inc()
-        self.metrics.counter(DETAILED_INSTRUCTIONS).inc(
-            float(result.instructions - before)
+        metrics = self.metrics
+        metrics.counter(DETAILED_CALLS).inc()
+        metrics.counter(DETAILED_PIECES).inc(float(index - first_index))
+        metrics.counter(DETAILED_INSTRUCTIONS).inc(
+            float(instructions - before)
         )
         return result
 
@@ -273,84 +446,3 @@ class TimingSimulator:
                     warm_start, start, state=state, result=SimulationResult()
                 )
         return self.simulate_range(start, end, state=state)
-
-    # ------------------------------------------------------------------
-    def _simulate_piece(
-        self,
-        piece: SegmentPiece,
-        state: MachineState,
-        result: SimulationResult,
-    ) -> None:
-        seg = piece.segment
-        n = piece.n_reps
-        statics = self._statics_of(piece.seg_index)
-        data = state.data
-        il1 = state.il1
-
-        # Batched stateless quantities: instruction count, steady-state
-        # cycles, expected mispredicts of data-dependent branches.
-        result.instructions += statics.rep_insts * n
-        cycles = statics.rep_cycles * n
-        if statics.plain_branches:
-            expected = n * statics.plain_rate_sum
-            result.branches += statics.plain_branches * n
-            result.mispredicts += expected
-            cycles += expected * self.branch_penalty
-
-        # State-carrying accesses stay in block order: instruction fetch
-        # and data touches of one block interleave exactly as the scalar
-        # loop interleaved them (they share the L2 occupancy ledger, whose
-        # recency ordering is order-sensitive).
-        for block_id, ilines, memory in statics.blocks:
-            # --- instruction fetch ----------------------------------------
-            # Each fetch line is touched through the real L1I once per
-            # piece; the remaining n-1 rounds re-fetch the same lines
-            # back-to-back and hit by construction.
-            l1i_misses, miss_lines = il1.access_run(ilines)
-            result.l1i_accesses += len(ilines) * n
-            result.l1i_misses += l1i_misses
-            if l1i_misses:
-                l2i_misses = data.access_code(state.code_lines,
-                                              float(len(miss_lines)))
-                result.l2_accesses += l1i_misses
-                result.l2_misses += l2i_misses
-                cycles += (
-                    l1i_misses * self.l1i_penalty + l2i_misses * self.l2_penalty
-                )
-
-            # --- data accesses ----------------------------------------------
-            if memory is not None:
-                touches = max(1.0, memory.touches_per_rep * n)
-                visit_touches = max(1.0, memory.touches_per_rep * seg.reps)
-                l1m, l2m = data.access_data(
-                    memory.region, memory.ws_lines, (seg, block_id),
-                    visit_touches, touches,
-                )
-                result.l1d_accesses += memory.n_mem * n
-                result.l1d_misses += l1m
-                result.l2_accesses += l1m
-                result.l2_misses += l2m
-                cycles += (
-                    (l1m * self.l1d_penalty + l2m * self.l2_penalty)
-                    * memory.load_fraction / self.mlp
-                )
-
-        # --- loop back-edge branch ---------------------------------------
-        # The 2-bit counter is private per-branch state: running it after
-        # the cache accesses cannot change any cache outcome.
-        if statics.loop_branch_block >= 0:
-            block_id = statics.loop_branch_block
-            includes_end = piece.rep_offset + n == seg.reps
-            counter = state.loop_counters.get(block_id, 1)
-            takens = n - 1 if includes_end else n
-            counter, mis = advance_loop_branch(counter, takens)
-            mispredicts = float(mis)
-            if includes_end:
-                counter, exit_mis = exit_loop_branch(counter)
-                mispredicts += exit_mis
-            state.loop_counters[block_id] = counter
-            result.branches += n
-            result.mispredicts += mispredicts
-            cycles += mispredicts * self.branch_penalty
-
-        result.cycles += cycles

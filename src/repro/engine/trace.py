@@ -11,7 +11,8 @@ int64 arrays (``flat_blocks`` plus per-segment ``blocks_per_segment``,
 profilers index directly and that cross process boundaries zero-copy via
 shared memory (:mod:`repro.engine.shm`).  :class:`Segment` tuples are
 materialised lazily, only for the consumers that still want object views
-(the detailed simulators' per-piece bookkeeping).
+(the instruction-level OoO core and the scalar reference profilers; the
+block-level timing simulator walks the arrays directly).
 
 Every consumer — the functional profiler, both detailed simulators, the
 sampling cost accounting — reads the *same* trace, so baseline and sampled

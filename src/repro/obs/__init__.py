@@ -77,6 +77,7 @@ from .metrics import (
     DEFAULT_BUCKETS,
     DETAILED_CALLS,
     DETAILED_INSTRUCTIONS,
+    DETAILED_PIECES,
     DISPATCH_HEARTBEATS,
     DISPATCH_LEASE_SECONDS,
     DISPATCH_LEASES,
@@ -131,6 +132,7 @@ __all__ = [
     "DEFAULT_STREAM_INTERVAL",
     "DETAILED_CALLS",
     "DETAILED_INSTRUCTIONS",
+    "DETAILED_PIECES",
     "DISPATCH_HEARTBEATS",
     "DISPATCH_LEASE_SECONDS",
     "DISPATCH_LEASES",

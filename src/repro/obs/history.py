@@ -7,7 +7,7 @@ provenance keys of :class:`~repro.obs.manifest.RunManifest` — config,
 sampling and cost-model digests, workload scale, host fingerprint — plus
 the *numbers* worth tracking across commits: per-benchmark per-method
 accuracy (CPI/L1/L2 deviations), headline counters, and bench speedup
-ratios.
+ratios and best seconds per case.
 
 :func:`diff_records` compares two records metric by metric and renders
 thresholded PASS / REGRESSED / IMPROVED verdicts; the CLI's
@@ -91,6 +91,10 @@ class HistoryRecord:
     counters: Dict[str, float] = field(default_factory=dict)
     #: Bench speedup ratios per case (``kind == "bench"`` records).
     speedups: Dict[str, float] = field(default_factory=dict)
+    #: Bench best seconds per case (``kind == "bench"`` records), every
+    #: case including those without a speedup.  Host-dependent, so
+    #: :func:`diff_records` reports them but never gates on them.
+    seconds: Dict[str, float] = field(default_factory=dict)
     #: Aggregate leaderboard rank per method, 1 = best
     #: (``kind == "leaderboard"`` records; see ``repro leaderboard``).
     ranks: Dict[str, float] = field(default_factory=dict)
@@ -143,6 +147,7 @@ class HistoryRecord:
             },
             "counters": dict(self.counters),
             "speedups": dict(self.speedups),
+            "seconds": dict(self.seconds),
             "ranks": dict(self.ranks),
         }
 
@@ -219,19 +224,25 @@ def record_from_manifest(
 def record_from_bench(report: "BenchReport") -> HistoryRecord:
     """Build a history record out of a ``repro bench`` report."""
     speedups: Dict[str, float] = {}
+    seconds: Dict[str, float] = {}
     for case in report.cases:
+        name = case["name"]
         speedup = case.get("speedup")
         if speedup is not None:
-            speedups[case["name"]] = float(speedup)
+            speedups[name] = float(speedup)
+        best = report.best_seconds(name)
+        if best is not None:
+            seconds[name] = float(best)
     return HistoryRecord(
         kind="bench",
         created=report.host.get("created", ""),
         workload_scale=report.scale,
-        benchmarks=sorted(speedups),
+        benchmarks=sorted(set(speedups) | set(seconds)),
         host={
             k: v for k, v in report.host.items() if k != "created"
         },
         speedups=speedups,
+        seconds=seconds,
     ).seal()
 
 
@@ -378,7 +389,8 @@ def diff_records(
     grew by more than it REGRESSED, shrank by more than it IMPROVED,
     anything else PASSes.  Baseline/estimate CPIs and counters are
     informational.  Bench speedups regress when the ratio drops more
-    than :data:`SPEEDUP_DROP_THRESHOLD` fractionally.
+    than :data:`SPEEDUP_DROP_THRESHOLD` fractionally; bench seconds
+    depend on the host and are informational.
     """
     diff = HistoryDiff(a=a, b=b, threshold=threshold)
     key_a, key_b = a.comparable_key(), b.comparable_key()
@@ -429,12 +441,17 @@ def diff_records(
                     a=va, b=vb, delta=vb - va, verdict="INFO",
                 ))
 
-    for name in sorted(set(a.counters) | set(b.counters)):
-        va, vb = a.counters.get(name), b.counters.get(name)
-        delta = (vb - va) if va is not None and vb is not None else None
-        diff.entries.append(DiffEntry(
-            name=f"counter:{name}", a=va, b=vb, delta=delta, verdict="INFO",
-        ))
+    for kind, values_a, values_b in (
+        ("counter", a.counters, b.counters),
+        ("seconds", a.seconds, b.seconds),
+    ):
+        for name in sorted(set(values_a) | set(values_b)):
+            va, vb = values_a.get(name), values_b.get(name)
+            delta = (vb - va) if va is not None and vb is not None else None
+            diff.entries.append(DiffEntry(
+                name=f"{kind}:{name}", a=va, b=vb, delta=delta,
+                verdict="INFO",
+            ))
 
     for case in sorted(set(a.speedups) | set(b.speedups)):
         va, vb = a.speedups.get(case), b.speedups.get(case)

@@ -89,24 +89,25 @@ class OccupancyCache:
     def install(self, region: int, lines: float) -> None:
         """Set *region*'s residency to *lines* (capped by capacity), marking
         it most recently used and evicting stalest regions on overflow."""
-        lines = min(lines, self.capacity)
-        self._residency[region] = lines
+        capacity = self.capacity
+        residency = self._residency
+        residency[region] = capacity if capacity < lines else lines
         self._clock += 1
         self._last_access[region] = self._clock
-        overflow = sum(self._residency.values()) - self.capacity
+        overflow = sum(residency.values()) - capacity
         if overflow > 1e-9:
-            for key in sorted(self._residency, key=self._last_access.get):
-                if key == region:
+            for key in sorted(residency, key=self._last_access.get):
+                held = residency[key]
+                # Taking nothing from an empty region changes nothing.
+                if key == region or not held:
                     continue
-                take = min(overflow, self._residency[key])
-                self._residency[key] -= take
+                take = held if held < overflow else overflow
+                residency[key] = held - take
                 overflow -= take
                 if overflow <= 1e-9:
                     break
             if overflow > 1e-9:
-                self._residency[region] = max(
-                    0.0, self._residency[region] - overflow
-                )
+                residency[region] = max(0.0, residency[region] - overflow)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -180,28 +181,25 @@ class DataHierarchyModel:
         visit_key: Hashable,
         visit_touches: float,
     ) -> _VisitState:
-        l1_hit = visit_hit_rate(
-            self.l1.residency(region), footprint, visit_touches,
-            self.l1.capacity,
-        )
+        # Each level's residency is read once: installing into the L1
+        # leaves the L2 ledger untouched.  ``a if a < b else b`` is
+        # ``min(b, a)`` without the call.
+        l1, l2 = self.l1, self.l2
+        l1_before = l1._residency.get(region, 0.0)
+        l1_hit = visit_hit_rate(l1_before, footprint, visit_touches,
+                                l1.capacity)
         l2_touches = visit_touches * (1.0 - l1_hit)
-        l2_hit = visit_hit_rate(
-            self.l2.residency(region), footprint, l2_touches,
-            self.l2.capacity,
-        )
+        l2_before = l2._residency.get(region, 0.0)
+        l2_hit = visit_hit_rate(l2_before, footprint, l2_touches, l2.capacity)
         # After the visit the region holds what it had plus the newly
         # missed lines (a full sweep leaves the whole footprint resident, a
         # sparse traversal only its touched subset), capacity permitting.
-        l1_resident = min(
-            footprint,
-            self.l1.residency(region) + visit_touches * (1.0 - l1_hit),
-        )
-        self.l1.install(region, l1_resident)
-        l2_resident = min(
-            footprint,
-            self.l2.residency(region) + l2_touches * (1.0 - l2_hit),
-        )
-        self.l2.install(region, l2_resident)
+        l1_resident = l1_before + visit_touches * (1.0 - l1_hit)
+        l1.install(region, l1_resident if l1_resident < footprint
+                   else footprint)
+        l2_resident = l2_before + l2_touches * (1.0 - l2_hit)
+        l2.install(region, l2_resident if l2_resident < footprint
+                   else footprint)
         state = _VisitState(key=visit_key, l1_hit=l1_hit, l2_hit=l2_hit)
         self._visits[region] = state
         return state

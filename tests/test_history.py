@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench.report import BenchReport
 from repro.cli import EXIT_PARTIAL, main
 from repro.errors import HarnessError, ObservabilityError
 from repro.obs.history import (
@@ -13,6 +14,7 @@ from repro.obs.history import (
     diff_records,
     format_diff,
     format_history,
+    record_from_bench,
 )
 from repro.obs.manifest import RunManifest
 
@@ -192,6 +194,38 @@ class TestDiff:
         entry = next(e for e in diff.entries
                      if e.name.startswith("counter:"))
         assert entry.verdict == "INFO"
+
+    def test_bench_seconds_kept_for_every_case_and_never_gated(self):
+        def report(seconds):
+            return BenchReport(
+                schema_version=1, host={"created": "t"}, scale=0.04,
+                cases=[
+                    {"name": "kmeans", "speedup": 4.0, "timings": {
+                        "vectorized": {"best_seconds": 0.5},
+                        "scalar": {"best_seconds": 2.0}}},
+                    # Single-backend case: no speedup, seconds only.
+                    {"name": "detailed_timing", "speedup": None, "timings": {
+                        "vectorized": {"best_seconds": seconds}}},
+                ],
+            )
+
+        a = record_from_bench(report(0.30))
+        assert a.speedups == {"kmeans": 4.0}
+        assert a.seconds == {"kmeans": 0.5, "detailed_timing": 0.30}
+        assert a.benchmarks == ["detailed_timing", "kmeans"]
+        assert HistoryRecord.from_dict(a.to_dict()).seconds == a.seconds
+        # Three times slower is host noise as far as the gate knows.
+        diff = diff_records(a, record_from_bench(report(0.90)))
+        assert diff.verdict == "PASS"
+        entry = next(e for e in diff.entries
+                     if e.name == "seconds:detailed_timing")
+        assert entry.verdict == "INFO"
+        assert entry.delta == pytest.approx(0.60)
+
+    def test_old_records_load_without_seconds(self):
+        payload = make_record().to_dict()
+        del payload["seconds"]
+        assert HistoryRecord.from_dict(payload).seconds == {}
 
     def test_format_diff_verbose_shows_pass_rows(self):
         diff = diff_records(make_record(), make_record())
