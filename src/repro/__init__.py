@@ -4,8 +4,8 @@ A from-scratch reproduction of *"Multi-level Phase Analysis for Sampling
 Simulation"* (Li, Zhang, Chen & Zang, DATE 2013): the COASTS coarse-grained
 sampler, the multi-level sampling framework, the SimPoint / EarlySP
 baselines, and every substrate they need — a synthetic SPEC2000-like
-workload suite, a functional simulator with BBV profiling, and detailed
-timing simulators with real caches and branch predictors.
+workload suite, a functional simulator with BBV profiling, and a detailed
+timing simulator with cache-occupancy and branch-predictor models.
 
 Quickstart::
 
@@ -46,7 +46,6 @@ from .config import (
 from .detailed import (
     Deviation,
     Metrics,
-    OoOSimulator,
     SimulationResult,
     TimingSimulator,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "MachineConfig",
     "Metrics",
     "MultiLevelSampler",
-    "OoOSimulator",
     "ProgramError",
     "RESAMPLE_THRESHOLD",
     "ReproError",

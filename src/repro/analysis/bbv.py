@@ -6,55 +6,40 @@ basic block.  Before clustering, BBVs are normalised so each row sums to one
 elements in the vector").  COASTS builds each coarse interval's *signature*
 by projecting the BBVs of its temporal sub-chunks and concatenating them.
 
-Every function takes the usual ``backend`` override
-(:mod:`repro.analysis.backend`); the batched and scalar paths are
-bit-identical, so a whole signature build can be differentially tested
-end-to-end.
+Every function is batched and bit-identical to the row loops in
+``tests/reference/analysis.py``, so a whole signature build can be
+differentially tested end-to-end.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ClusteringError
-from .backend import resolve_backend
 from .projection import RandomProjection
 
 
-def normalize_rows(
-    data: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def normalize_rows(data: np.ndarray) -> np.ndarray:
     """Scale each row of *data* to sum to 1 (rows of zeros stay zero)."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ClusteringError("expected a 2-D array of BBVs")
-    if resolve_backend(backend) == "scalar":
-        out = np.empty_like(data)
-        for i in range(len(data)):
-            total = np.sum(data[i])
-            out[i] = data[i] / (total if total != 0.0 else 1.0)
-        return out
     sums = data.sum(axis=1, keepdims=True)
     safe = np.where(sums == 0.0, 1.0, sums)
     return data / safe
 
 
-def project_bbvs(
-    bbvs: np.ndarray, dim: int, seed: int = 0, backend: Optional[str] = None
-) -> np.ndarray:
+def project_bbvs(bbvs: np.ndarray, dim: int, seed: int = 0) -> np.ndarray:
     """Normalise then randomly project raw BBVs to *dim* dimensions."""
-    bbvs = normalize_rows(bbvs, backend=backend)
+    bbvs = normalize_rows(bbvs)
     projection = RandomProjection(bbvs.shape[1], dim, seed=seed)
-    return projection.project(bbvs, backend=backend)
+    return projection.project(bbvs)
 
 
 def concat_signatures(
     segment_bbvs: np.ndarray,
     dim: int,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Build COASTS signature vectors from per-sub-chunk BBVs.
 
@@ -69,7 +54,7 @@ def concat_signatures(
     n_instances, n_segments, n_blocks = segment_bbvs.shape
     projection = RandomProjection(n_blocks, dim, seed=seed)
     flat = segment_bbvs.reshape(n_instances * n_segments, n_blocks)
-    flat = normalize_rows(flat, backend=backend)
-    projected = projection.project(flat, backend=backend)
+    flat = normalize_rows(flat)
+    projected = projection.project(flat)
     signatures = projected.reshape(n_instances, n_segments * dim)
-    return normalize_rows(signatures, backend=backend)
+    return normalize_rows(signatures)

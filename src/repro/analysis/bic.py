@@ -5,31 +5,27 @@ mixture fitted by the clustering (the X-means formulation of Pelleg &
 Moore), then picks the *smallest* k whose score reaches a threshold of the
 observed score range — 90% by default, as in the SimPoint release.
 
-The per-cluster log-likelihood terms are evaluated batched on the
-``vectorized`` backend and looped on the ``scalar`` one; the expressions
-are written identically in both, and both sum the term array with
-``np.sum``, so the scores are bit-identical
-(:mod:`repro.analysis.backend`).
+The per-cluster log-likelihood terms are evaluated batched; the
+expression is written exactly as the per-cluster loop in
+``tests/reference/analysis.py`` writes it, and both sum the term array
+with ``np.sum``, so the scores are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ClusteringError
-from .backend import resolve_backend
 from .kmeans import KMeansResult, kmeans
 
 #: Floor on the fitted variance, guarding against degenerate clusterings.
 _VARIANCE_FLOOR = 1e-12
 
 
-def bic_score(
-    data: np.ndarray, result: KMeansResult, backend: Optional[str] = None
-) -> float:
+def bic_score(data: np.ndarray, result: KMeansResult) -> float:
     """BIC of *result* as a spherical-Gaussian mixture over *data*."""
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
@@ -43,24 +39,12 @@ def bic_score(
     variance = max(result.inertia / (d * (n - k)), _VARIANCE_FLOOR)
     log_norm = np.log(2.0 * np.pi * variance)
     sizes = result.cluster_sizes()
-    if resolve_backend(backend) == "scalar":
-        terms = []
-        for size in sizes:
-            if size <= 0:
-                continue
-            n_j = np.float64(size)
-            terms.append(
-                n_j * np.log(n_j / n) - n_j * d / 2.0 * log_norm
-                - (n_j - 1.0) * d / 2.0
-            )
-        log_likelihood = float(np.sum(np.array(terms, dtype=np.float64)))
-    else:
-        n_j = sizes[sizes > 0].astype(np.float64)
-        terms = (
-            n_j * np.log(n_j / n) - n_j * d / 2.0 * log_norm
-            - (n_j - 1.0) * d / 2.0
-        )
-        log_likelihood = float(np.sum(terms))
+    n_j = sizes[sizes > 0].astype(np.float64)
+    terms = (
+        n_j * np.log(n_j / n) - n_j * d / 2.0 * log_norm
+        - (n_j - 1.0) * d / 2.0
+    )
+    log_likelihood = float(np.sum(terms))
     n_parameters = k * (d + 1)
     return log_likelihood - n_parameters / 2.0 * math.log(n)
 
@@ -90,7 +74,6 @@ def cluster_with_bic(
     n_seeds: int = 5,
     threshold: float = 0.9,
     ks: Sequence[int] | None = None,
-    backend: Optional[str] = None,
 ) -> Tuple[KMeansResult, Dict[int, float]]:
     """Cluster for k = 1..kmax and return the BIC-selected clustering.
 
@@ -108,8 +91,8 @@ def cluster_with_bic(
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
     for k in candidates:
-        result = kmeans(data, k, seed=seed, n_seeds=n_seeds, backend=backend)
+        result = kmeans(data, k, seed=seed, n_seeds=n_seeds)
         results[k] = result
-        scores[k] = bic_score(data, result, backend=backend)
+        scores[k] = bic_score(data, result)
     chosen = select_k(scores, threshold=threshold)
     return results[chosen], scores

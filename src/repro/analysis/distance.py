@@ -1,14 +1,13 @@
 """Distance kernels shared by clustering and representative selection.
 
-Each kernel has a batched (``vectorized``) and a loop (``scalar``)
-implementation selected via :mod:`repro.analysis.backend`; the pairs are
-bit-identical (see that module's docstring for why), which is what the
-differential tests in ``tests/test_vectorized.py`` and
-``tests/test_assign_near_ties.py`` pin.
+Every kernel is batched and bit-identical to the per-point loop it
+replaced, which ``tests/reference/analysis.py`` keeps as the oracle for
+the differential tests in ``tests/test_vectorized.py`` and
+``tests/test_assign_near_ties.py``.
 
 Every distance a kernel *returns* comes from
 ``((x - c) ** 2).sum(axis=-1)`` — an innermost-axis pairwise reduction
-that rounds exactly like the scalar per-pair ``np.sum``.  The classic
+that rounds exactly like a per-pair ``np.sum``.  The classic
 ``||x||^2 - 2 x.c + ||c||^2`` expansion is not reproducible that way
 (its ``x @ c.T`` term rounds in whatever order the BLAS call chooses),
 so :func:`assign_points` uses it only to *shortlist* centres: its
@@ -26,7 +25,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import ClusteringError
-from .backend import resolve_backend
 
 #: Upper bound on the (rows x centers x dims) broadcast temporary, in
 #: float64 elements (~32 MiB).  Purely a memory knob: results are
@@ -43,20 +41,13 @@ def _row_block(n_centers: int, n_dims: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_centers * n_dims))
 
 
-def squared_distances(
-    data: np.ndarray, centers: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def squared_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances: (n, d) x (k, d) -> (n, k)."""
     data = np.asarray(data, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     _check_pair(data, centers)
     n, k = len(data), len(centers)
     out = np.empty((n, k), dtype=np.float64)
-    if resolve_backend(backend) == "scalar":
-        for i in range(n):
-            for j in range(k):
-                out[i, j] = np.sum((data[i] - centers[j]) ** 2)
-        return out
     block = _row_block(k, data.shape[1])
     for lo in range(0, n, block):
         hi = min(lo + block, n)
@@ -66,7 +57,7 @@ def squared_distances(
 
 
 def assign_points(
-    data: np.ndarray, centers: np.ndarray, backend: Optional[str] = None
+    data: np.ndarray, centers: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused distance/assignment: nearest center per point.
 
@@ -75,13 +66,13 @@ def assign_points(
     ``distances[i]`` the squared distance to it.  This is the inner
     kernel of every Lloyd iteration.
 
-    The vectorized path shortlists each row's candidate centres with the
+    The kernel shortlists each row's candidate centres with the
     BLAS expansion (:func:`_expansion_margin`): a centre whose lower
     bound exceeds the row's smallest upper bound cannot be nearest.  A
     row with one candidate takes it; the few near-tie rows with several
     are decided by the exact kernel over their candidates only, and
     every returned distance is recomputed exactly — so labels (ties
-    included) and distances are bit-identical to the scalar loop.
+    included) and distances are bit-identical to a per-pair loop.
     """
     data = np.asarray(data, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -89,15 +80,6 @@ def assign_points(
     n, k = len(data), len(centers)
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
-    if resolve_backend(backend) == "scalar":
-        row = np.empty(k, dtype=np.float64)
-        for i in range(n):
-            for j in range(k):
-                row[j] = np.sum((data[i] - centers[j]) ** 2)
-            label = int(np.argmin(row))
-            labels[i] = label
-            best[i] = row[label]
-        return labels, best
     if n == 0:
         return labels, best
     margin = _expansion_margin(data, centers)
@@ -180,7 +162,7 @@ def _recheck(
     Only the shortlisted (row, centre) pairs are evaluated, with the
     exact kernel; the others cannot hold a row's minimum, so masking
     them to ``inf`` leaves ``np.argmin``'s first-minimum tie-break — and
-    hence the scalar backend's label — intact.
+    hence the per-pair loop's label — intact.
     """
     labels = np.empty(len(rows), dtype=np.int64)
     block = _row_block(centers.shape[0], data.shape[1])
@@ -198,7 +180,6 @@ def nearest_to_centroid(
     data: np.ndarray,
     labels: np.ndarray,
     centroids: np.ndarray,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Index of the member closest to each centroid (SimPoint's pick).
 
@@ -208,16 +189,10 @@ def nearest_to_centroid(
     labels = np.asarray(labels)
     k = len(centroids)
     picks = np.full(k, -1, dtype=np.int64)
-    distances = squared_distances(data, centroids, backend=backend)
-    if resolve_backend(backend) == "scalar":
-        for j in range(k):
-            members = np.flatnonzero(labels == j)
-            if len(members):
-                picks[j] = members[np.argmin(distances[members, j])]
-        return picks
+    distances = squared_distances(data, centroids)
     # Mask out non-members, then one argmin per column.  np.argmin takes
     # the first minimum, i.e. the lowest member index — the same
-    # tie-break as the scalar per-member scan.
+    # tie-break as a per-member scan.
     member = labels[:, None] == np.arange(k)[None, :]
     masked = np.where(member, distances, np.inf)
     candidates = np.argmin(masked, axis=0)
@@ -226,18 +201,10 @@ def nearest_to_centroid(
     return picks
 
 
-def earliest_member(
-    labels: np.ndarray, k: int, backend: Optional[str] = None
-) -> np.ndarray:
+def earliest_member(labels: np.ndarray, k: int) -> np.ndarray:
     """Index of the earliest member of each cluster (COASTS's pick)."""
     labels = np.asarray(labels)
     picks = np.full(k, -1, dtype=np.int64)
-    if resolve_backend(backend) == "scalar":
-        for j in range(k):
-            members = np.flatnonzero(labels == j)
-            if len(members):
-                picks[j] = members[0]
-        return picks
     if len(labels):
         valid = (labels >= 0) & (labels < k)
         first = np.full(k, len(labels), dtype=np.int64)

@@ -4,28 +4,26 @@ A from-scratch implementation so the library has no dependency beyond numpy;
 SimPoint's phase classification is plain Euclidean k-means over projected
 BBVs, run for several random seeds per k with the best inertia kept.
 
-Both hot kernels — the k-means++ seeding sweep and the batched Lloyd
-iteration — exist in a ``vectorized`` and a ``scalar`` implementation
-(:mod:`repro.analysis.backend`).  The pairs consume the identical random
-stream and are bit-identical on labels, centroids and inertia: the
-batched path only uses reductions whose rounding matches the scalar loop
+Both hot kernels — the k-means++ seeding sweep and the Lloyd iteration —
+are batched, and bit-identical on labels, centroids and inertia to the
+per-point loops in ``tests/reference/analysis.py``, drawing the same
+random stream: they only use reductions whose rounding matches the loops
 (innermost-axis pairwise sums, index-order ``np.add.at`` accumulation).
 The assignment step's BLAS product only shortlists candidate centres
 under a proven rounding bound; near ties are re-decided and every
 distance recomputed exactly (:func:`~repro.analysis.distance.assign_points`),
 so BLAS never changes a bit.  ``tests/test_vectorized.py`` pins this
-across a seed x shape matrix; ``repro bench`` measures the speedup.
+across a seed x shape matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import ClusteringError
-from .backend import resolve_backend
 from .distance import assign_points
 
 
@@ -85,9 +83,7 @@ class ClusterQuality:
         return float(self.member_silhouettes.mean())
 
 
-def cluster_quality(
-    data: np.ndarray, result: KMeansResult, backend: Optional[str] = None
-) -> ClusterQuality:
+def cluster_quality(data: np.ndarray, result: KMeansResult) -> ClusterQuality:
     """Quality statistics of *result* on *data*.
 
     *data* must be the points the labels refer to (``result.labels``
@@ -105,7 +101,7 @@ def cluster_quality(
             f"data rows ({len(data)}) do not match labels ({len(labels)})"
         )
     k = result.k
-    squared = squared_distances(data, result.centroids, backend=backend)
+    squared = squared_distances(data, result.centroids)
     own_sq = squared[np.arange(len(data)), labels]
     member_distances = np.sqrt(own_sq)
 
@@ -140,31 +136,24 @@ def cluster_quality(
     )
 
 
-def _point_distances(
-    data: np.ndarray, center: np.ndarray, backend: str
-) -> np.ndarray:
+def _point_distances(data: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared distance of every row of *data* to one *center*."""
-    if backend == "scalar":
-        return np.array(
-            [np.sum((data[i] - center) ** 2) for i in range(len(data))],
-            dtype=np.float64,
-        )
     return ((data - center) ** 2).sum(axis=1)
 
 
 def _kmeanspp_init(
-    data: np.ndarray, k: int, rng: np.random.Generator, backend: str
+    data: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """k-means++ seeding.
 
-    Both backends draw from *rng* identically (the seeding probabilities
-    they compute are bit-identical), so the chosen seeds match too.
+    The seeding probabilities are bit-identical to a per-point loop's,
+    so the draws from *rng*, and hence the chosen seeds, match it too.
     """
     n = len(data)
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = data[first]
-    closest = _point_distances(data, centroids[0], backend)
+    closest = _point_distances(data, centroids[0])
     for i in range(1, k):
         total = float(np.sum(closest))
         if total <= 0:
@@ -173,41 +162,24 @@ def _kmeanspp_init(
         probabilities = closest / total
         choice = int(rng.choice(n, p=probabilities))
         centroids[i] = data[choice]
-        distance = _point_distances(data, centroids[i], backend)
-        if backend == "scalar":
-            for point in range(n):
-                if distance[point] < closest[point]:
-                    closest[point] = distance[point]
-        else:
-            np.minimum(closest, distance, out=closest)
+        distance = _point_distances(data, centroids[i])
+        np.minimum(closest, distance, out=closest)
     return centroids
 
 
 def _update_centroids(
-    data: np.ndarray, labels: np.ndarray, centroids: np.ndarray, backend: str
+    data: np.ndarray, labels: np.ndarray, centroids: np.ndarray
 ) -> Tuple[np.ndarray, float]:
     """One Lloyd update: member means (empty clusters keep their centroid).
 
     Returns ``(new_centroids, shift)`` with *shift* the largest squared
-    centroid movement.  Member sums accumulate in point order on both
-    backends (``np.add.at`` adds sequentially in index order), so the
-    means — and everything downstream — are bit-identical.
+    centroid movement.  Member sums accumulate in point order
+    (``np.add.at`` adds sequentially in index order), exactly as a
+    per-point loop adds them, so the means — and everything
+    downstream — are bit-identical to it.
     """
     k, d = centroids.shape
     new_centroids = centroids.copy()
-    if backend == "scalar":
-        sums = np.zeros((k, d), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
-        for i in range(len(data)):
-            sums[labels[i]] += data[i]
-            counts[labels[i]] += 1
-        shift = 0.0
-        for j in range(k):
-            if counts[j]:
-                candidate = sums[j] / counts[j]
-                shift = max(shift, float(np.sum((candidate - centroids[j]) ** 2)))
-                new_centroids[j] = candidate
-        return new_centroids, shift
     sums = np.zeros((k, d), dtype=np.float64)
     np.add.at(sums, labels, data)
     counts = np.bincount(labels, minlength=k)
@@ -222,23 +194,22 @@ def _lloyd(
     centroids: np.ndarray,
     max_iterations: int,
     tolerance: float,
-    backend: str,
 ) -> KMeansResult:
     """Lloyd iterations from the given initial centroids."""
     labels = np.zeros(len(data), dtype=np.int64)
     history = []
     for _ in range(max_iterations):
-        new_labels, distances = assign_points(data, centroids, backend=backend)
+        new_labels, distances = assign_points(data, centroids)
         history.append(float(np.sum(distances)))
         moved = not np.array_equal(new_labels, labels)
         labels = new_labels
-        centroids, shift = _update_centroids(data, labels, centroids, backend)
+        centroids, shift = _update_centroids(data, labels, centroids)
         if not moved and shift <= tolerance:
             break
     # Final refresh against the converged centroids, so the reported
     # labels/inertia are consistent with the reported centroids even
     # when the loop stopped at max_iterations.
-    labels, distances = assign_points(data, centroids, backend=backend)
+    labels, distances = assign_points(data, centroids)
     inertia = float(np.sum(distances))
     history.append(inertia)
     return KMeansResult(
@@ -256,13 +227,10 @@ def kmeans(
     n_seeds: int = 5,
     max_iterations: int = 100,
     tolerance: float = 1e-10,
-    backend: Optional[str] = None,
 ) -> KMeansResult:
     """Cluster *data* into *k* clusters, keeping the best of *n_seeds* runs.
 
-    ``k`` is clamped to the number of points available.  ``backend``
-    overrides the process-global kernel selection (see
-    :mod:`repro.analysis.backend`).
+    ``k`` is clamped to the number of points available.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
@@ -272,13 +240,12 @@ def kmeans(
     if n_seeds <= 0:
         raise ClusteringError("n_seeds must be positive")
     k = min(k, len(data))
-    chosen = resolve_backend(backend)
 
     best: KMeansResult | None = None
     for attempt in range(n_seeds):
         rng = np.random.default_rng(seed + attempt * 7919)
-        centroids = _kmeanspp_init(data, k, rng, chosen)
-        result = _lloyd(data, centroids, max_iterations, tolerance, chosen)
+        centroids = _kmeanspp_init(data, k, rng)
+        result = _lloyd(data, centroids, max_iterations, tolerance)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None

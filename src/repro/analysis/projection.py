@@ -6,23 +6,20 @@ preserves relative distances well (Johnson-Lindenstrauss) while making
 k-means cheap.  We draw the projection matrix uniformly from [0, 1) with a
 fixed seed, as the SimPoint release does.
 
-The batched kernel computes each output dimension as a row-batched
-multiply + innermost-axis sum rather than one BLAS ``data @ matrix``:
-the pairwise row reduction rounds exactly like the scalar per-element
-``np.sum(data[i] * column)``, so the ``vectorized`` and ``scalar``
-backends (:mod:`repro.analysis.backend`) are bit-identical — a property
-a BLAS product cannot provide (its blocked dot products round
-differently) and which the end-to-end differential tests rely on.
+The kernel computes each output dimension as a row-batched multiply +
+innermost-axis sum rather than one BLAS ``data @ matrix``: the pairwise
+row reduction rounds exactly like a per-element
+``np.sum(data[i] * column)``, so it is bit-identical to the loop in
+``tests/reference/analysis.py`` — a property a BLAS product cannot
+provide (its blocked dot products round differently) and which the
+end-to-end differential tests rely on.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ClusteringError
-from .backend import resolve_backend
 
 
 class RandomProjection:
@@ -37,9 +34,7 @@ class RandomProjection:
         rng = np.random.default_rng(seed)
         self.matrix = rng.random((n_features, dim))
 
-    def project(
-        self, data: np.ndarray, backend: Optional[str] = None
-    ) -> np.ndarray:
+    def project(self, data: np.ndarray) -> np.ndarray:
         """Project rows of *data* (n, n_features) to (n, dim)."""
         data = np.asarray(data, dtype=np.float64)
         squeeze = data.ndim == 1
@@ -51,13 +46,8 @@ class RandomProjection:
                 f"{data.shape[1]}"
             )
         out = np.empty((len(data), self.dim), dtype=np.float64)
-        if resolve_backend(backend) == "scalar":
-            for i in range(len(data)):
-                for j in range(self.dim):
-                    out[i, j] = np.sum(data[i] * self.matrix[:, j])
-        else:
-            # One row-batched pass per output dimension; each row's
-            # product-sum reduces over the contiguous feature axis.
-            for j in range(self.dim):
-                out[:, j] = (data * self.matrix[:, j]).sum(axis=1)
+        # One row-batched pass per output dimension; each row's
+        # product-sum reduces over the contiguous feature axis.
+        for j in range(self.dim):
+            out[:, j] = (data * self.matrix[:, j]).sum(axis=1)
         return out[0] if squeeze else out

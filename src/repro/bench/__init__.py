@@ -1,20 +1,18 @@
-"""Performance-regression microbenchmarks for the analysis hot path.
+"""Per-kernel microbenchmarks for the analysis, engine and detailed layers.
 
-The paper's claim is *speed at preserved accuracy*; this package records
-the speed half so it cannot silently rot.  Three pieces:
+The paper's claim is *speed at preserved accuracy*; this package times
+the hot kernels one by one.  Three pieces:
 
 * :mod:`repro.bench.suite` — the declarative benchmark suite: k-means
-  sweep, signature build, coarse+fine two-level planning, and the
-  detailed-timing segment loop, each naming which kernel backends it
-  exercises;
+  sweep, signature build, coarse+fine two-level planning, the sampler
+  plans, the detailed-timing segment loop and the engine's trace build
+  and profiling passes, each naming the layer it measures;
 * :mod:`repro.bench.runner` — warm-up + measured repetitions, timed via
-  the observability span tracer, yielding per-case best/mean seconds and
-  the vectorized-over-scalar speedup ratio;
+  the observability span tracer, yielding per-case best/mean seconds;
 * :mod:`repro.bench.report` — the schema-versioned
   ``BENCH_phase_analysis.json`` artefact (host fingerprint included) and
-  the baseline comparison used by CI: speedup *ratios* are asserted
-  against committed floors (host-portable, non-flaky), wall-clock only
-  on request.
+  the baseline comparison used by CI: every baseline case must still
+  run; wall-clock is compared only on request, between same-host runs.
 
 Driven by the ``repro bench`` CLI subcommand; see the README's
 "Benchmarking" section for the baseline-update workflow.

@@ -4,22 +4,19 @@ A :class:`BenchReport` is schema-versioned and stamped with the host
 fingerprint from :mod:`repro.obs.manifest`, so a recorded number always
 names the code, interpreter, numpy and platform that produced it.
 
-Comparison semantics — designed to be non-flaky in CI:
+Comparison semantics:
 
-* **ratio checks** (always on): a case's vectorized-over-scalar speedup
-  must stay above the ``min_speedup`` floor committed in the baseline,
-  and must not fall more than ``threshold`` (fractionally) below the
-  baseline's recorded speedup.  Ratios divide out the host's absolute
-  speed, so they hold on any machine.
-* **wall-clock checks** (opt-in, ``--wall``): a case's best vectorized
-  time must not exceed the baseline's by more than ``threshold``.  Only
-  meaningful when current and baseline ran on comparable hosts.
+* **coverage** (always on): every case the baseline names must have
+  been run, so a case cannot silently drop out of the suite;
+* **wall-clock** (opt-in, ``--wall``): a case's best time must not
+  exceed the baseline's by more than ``threshold``.  Only meaningful
+  when current and baseline ran on comparable hosts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -28,7 +25,7 @@ from ..obs.manifest import host_fingerprint
 from .runner import CaseResult
 
 #: Bump when the report layout changes incompatibly.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: Default artefact file name (the repo's perf trajectory record).
 DEFAULT_REPORT_NAME = "BENCH_phase_analysis.json"
@@ -42,25 +39,16 @@ class BenchReport:
     host: Dict[str, str]
     scale: float
     cases: List[dict]
-    #: Per-case speedup floors asserted by :func:`compare_reports`
-    #: (committed in the baseline file; empty on freshly measured
-    #: reports unless carried over).
-    min_speedups: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def build(
-        results: Sequence[CaseResult],
-        scale: float,
-        min_speedups: Optional[Dict[str, float]] = None,
-    ) -> "BenchReport":
+    def build(results: Sequence[CaseResult], scale: float) -> "BenchReport":
         """Assemble a report from runner output (stamps the host)."""
         return BenchReport(
             schema_version=BENCH_SCHEMA_VERSION,
             host=host_fingerprint(),
             scale=scale,
             cases=[result.to_dict() for result in results],
-            min_speedups=dict(min_speedups or {}),
         )
 
     # ------------------------------------------------------------------
@@ -71,18 +59,10 @@ class BenchReport:
                 return case
         return None
 
-    def speedup(self, name: str) -> Optional[float]:
-        """The named case's speedup ratio, or None."""
+    def best_seconds(self, name: str) -> Optional[float]:
+        """The named case's best time, or None."""
         case = self.case(name)
-        return case.get("speedup") if case else None
-
-    def best_seconds(self, name: str, backend: str = "vectorized") -> Optional[float]:
-        """The named case's best time under *backend*, or None."""
-        case = self.case(name)
-        if not case:
-            return None
-        timing = case.get("timings", {}).get(backend)
-        return timing.get("best_seconds") if timing else None
+        return case.get("best_seconds") if case else None
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -90,7 +70,6 @@ class BenchReport:
             "schema_version": self.schema_version,
             "host": dict(self.host),
             "scale": self.scale,
-            "min_speedups": dict(self.min_speedups),
             "cases": list(self.cases),
         }
 
@@ -101,7 +80,8 @@ class BenchReport:
 
 
 def load_report(path) -> BenchReport:
-    """Read a report; unknown schema versions are rejected loudly."""
+    """Read a report; malformed files and other schema versions are
+    rejected with :class:`HarnessError`."""
     path = Path(path)
     if not path.exists():
         raise HarnessError(f"bench baseline not found: {path}")
@@ -109,21 +89,35 @@ def load_report(path) -> BenchReport:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as error:
         raise HarnessError(f"unreadable bench report {path}: {error}")
+    if not isinstance(payload, dict):
+        raise HarnessError(f"bench report {path} is not a JSON object")
     version = payload.get("schema_version")
     if version != BENCH_SCHEMA_VERSION:
         raise HarnessError(
             f"bench report {path} has schema version {version!r}; this "
             f"build reads version {BENCH_SCHEMA_VERSION}"
         )
+    cases = payload.get("cases", [])
+    if not isinstance(cases, list):
+        raise HarnessError(f"bench report {path}: 'cases' is not a list")
+    for index, case in enumerate(cases):
+        if not isinstance(case, dict) or not isinstance(case.get("name"), str):
+            raise HarnessError(
+                f"bench report {path}: case {index} is not an object "
+                f"with a string 'name'"
+            )
+    host = payload.get("host", {})
+    scale = payload.get("scale", 0.0)
+    if not isinstance(host, dict) or not isinstance(scale, (int, float)):
+        raise HarnessError(
+            f"bench report {path}: 'host' must be an object and 'scale' "
+            f"a number"
+        )
     return BenchReport(
         schema_version=version,
-        host=dict(payload.get("host", {})),
-        scale=float(payload.get("scale", 0.0)),
-        cases=list(payload.get("cases", [])),
-        min_speedups={
-            str(k): float(v)
-            for k, v in payload.get("min_speedups", {}).items()
-        },
+        host=dict(host),
+        scale=float(scale),
+        cases=cases,
     )
 
 
@@ -135,39 +129,17 @@ def compare_reports(
 ) -> List[str]:
     """Regressions of *current* against *baseline* (empty list = clean).
 
-    *threshold* is the tolerated fractional slack on both the relative
-    ratio check and the opt-in wall-clock check; the ``min_speedup``
-    floors are absolute and get no slack.
+    *threshold* is the tolerated fractional slack on the opt-in
+    wall-clock check.
     """
     if threshold <= 0:
         raise HarnessError(f"threshold must be > 0, got {threshold}")
     regressions: List[str] = []
     for base_case in baseline.cases:
         name = base_case["name"]
-        case = current.case(name)
-        if case is None:
+        if current.case(name) is None:
             regressions.append(f"{name}: present in baseline but not run")
             continue
-        speedup = case.get("speedup")
-        floor = baseline.min_speedups.get(name)
-        if floor is not None:
-            if speedup is None:
-                regressions.append(
-                    f"{name}: baseline demands >= {floor:.2f}x over the "
-                    f"scalar path but no ratio was measured"
-                )
-            elif speedup < floor:
-                regressions.append(
-                    f"{name}: vectorized path only {speedup:.2f}x over "
-                    f"scalar (floor {floor:.2f}x)"
-                )
-        base_speedup = base_case.get("speedup")
-        if speedup is not None and base_speedup is not None:
-            if speedup < base_speedup * (1.0 - threshold):
-                regressions.append(
-                    f"{name}: speedup {speedup:.2f}x fell more than "
-                    f"{threshold:.0%} below baseline {base_speedup:.2f}x"
-                )
         if wall:
             seconds = current.best_seconds(name)
             base_seconds = baseline.best_seconds(name)

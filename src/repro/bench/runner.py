@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import logging
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..errors import HarnessError
 from ..obs import ObsContext, register_help
@@ -20,16 +20,19 @@ from .suite import BenchCase
 
 logger = logging.getLogger(__name__)
 
-#: Counter: measured bench repetitions, labelled by case and backend.
+#: Counter: measured bench repetitions, labelled by case.
 BENCH_REPS = "repro_bench_reps"
-register_help(BENCH_REPS, "Measured bench repetitions per case/backend.")
+register_help(BENCH_REPS, "Measured bench repetitions per case.")
 
 
 @dataclass(frozen=True)
-class BackendTiming:
-    """Measured repetitions of one case under one backend."""
+class CaseResult:
+    """One case's measured repetitions."""
 
-    backend: str
+    name: str
+    description: str
+    reps: int
+    warmup: int
     seconds: Sequence[float]
 
     @property
@@ -43,41 +46,13 @@ class BackendTiming:
 
     def to_dict(self) -> dict:
         return {
-            "backend": self.backend,
-            "best_seconds": self.best,
-            "mean_seconds": self.mean,
-            "seconds": list(self.seconds),
-        }
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    """One case's timings across its backends."""
-
-    name: str
-    description: str
-    reps: int
-    warmup: int
-    timings: Dict[str, BackendTiming] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Scalar-over-vectorized best-time ratio (None without both)."""
-        if "vectorized" not in self.timings or "scalar" not in self.timings:
-            return None
-        return self.timings["scalar"].best / self.timings["vectorized"].best
-
-    def to_dict(self) -> dict:
-        return {
             "name": self.name,
             "description": self.description,
             "reps": self.reps,
             "warmup": self.warmup,
-            "timings": {
-                backend: timing.to_dict()
-                for backend, timing in self.timings.items()
-            },
-            "speedup": self.speedup,
+            "best_seconds": self.best,
+            "mean_seconds": self.mean,
+            "seconds": list(self.seconds),
         }
 
 
@@ -90,10 +65,10 @@ def run_bench(
 ) -> List[CaseResult]:
     """Run *cases*: one setup, *warmup* unmeasured + *reps* measured runs.
 
-    Per case and backend, each measured run is timed by a ``bench_rep``
-    span; the returned :class:`CaseResult` carries the span durations.
-    *obs* collects the spans and the :data:`BENCH_REPS` counter (a
-    private context is used when omitted).
+    Each measured run is timed by a ``bench_rep`` span; the returned
+    :class:`CaseResult` carries the span durations.  *obs* collects the
+    spans and the :data:`BENCH_REPS` counter (a private context is used
+    when omitted).
     """
     if reps < 1:
         raise HarnessError(f"reps must be >= 1, got {reps}")
@@ -106,34 +81,25 @@ def run_bench(
         with obs.tracer.span("bench_case", case=case.name, scale=scale):
             with obs.tracer.span("bench_setup", case=case.name):
                 payload = case.setup(scale)
-            timings: Dict[str, BackendTiming] = {}
-            for backend in case.backends:
-                for _ in range(warmup):
-                    case.run(payload, backend)
-                seconds: List[float] = []
-                for rep in range(reps):
-                    with obs.tracer.span(
-                        "bench_rep", case=case.name, backend=backend, rep=rep
-                    ) as span:
-                        case.run(payload, backend)
-                    seconds.append(float(span.duration))
-                    obs.metrics.counter(
-                        BENCH_REPS, case=case.name, backend=backend
-                    ).inc()
-                timings[backend] = BackendTiming(
-                    backend=backend, seconds=tuple(seconds)
-                )
-                logger.info(
-                    "bench %s [%s]: best %.6fs over %d reps",
-                    case.name, backend, timings[backend].best, reps,
-                )
-        results.append(
-            CaseResult(
-                name=case.name,
-                description=case.description,
-                reps=reps,
-                warmup=warmup,
-                timings=timings,
-            )
+            for _ in range(warmup):
+                case.run(payload)
+            seconds: List[float] = []
+            for rep in range(reps):
+                with obs.tracer.span(
+                    "bench_rep", case=case.name, rep=rep
+                ) as span:
+                    case.run(payload)
+                seconds.append(float(span.duration))
+                obs.metrics.counter(BENCH_REPS, case=case.name).inc()
+        result = CaseResult(
+            name=case.name,
+            description=case.description,
+            reps=reps,
+            warmup=warmup,
+            seconds=tuple(seconds),
         )
+        logger.info(
+            "bench %s: best %.6fs over %d reps", case.name, result.best, reps
+        )
+        results.append(result)
     return results

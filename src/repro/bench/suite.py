@@ -1,12 +1,9 @@
 """The declarative microbenchmark suite.
 
 Each :class:`BenchCase` names a setup (run once, outside timing), a
-payload-consuming kernel, and the analysis backends it is measured
-under.  Cases that exercise the backend-switchable analysis kernels run
-under both ``vectorized`` and ``scalar`` so the runner can report their
-speedup ratio — the host-portable number CI asserts on.  Cases whose
-cost lives outside the analysis layer (the detailed-timing segment
-loop) run vectorized-only and contribute wall-clock trend data.
+payload-consuming kernel, and the layer it measures.  Every case times
+the production kernel only; the numbers are wall-clock trend data,
+compared on request between runs on the same host.
 
 Kernel-shaped cases (k-means sweep, signature build) use fixed synthetic
 inputs modelled on SimPoint's real shapes — projected 15-dim BBVs, 4
@@ -25,7 +22,6 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from ..analysis import cluster_with_bic, concat_signatures, project_bbvs
-from ..analysis.backend import use_backend
 from ..config import CONFIG_A, DEFAULT_SAMPLING, SamplingConfig
 from ..detailed.timing import TimingSimulator
 from ..engine.functional import FunctionalSimulator
@@ -65,18 +61,14 @@ def set_bench_workload(name: str) -> None:
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One microbenchmark: setup once, run repeatedly per backend."""
+    """One microbenchmark: setup once, run repeatedly."""
 
     name: str
     description: str
-    #: Backends the timed kernel is measured under; a ("vectorized",)
-    #: case has no scalar reference (its cost is outside the analysis
-    #: layer) and therefore no speedup ratio.
-    backends: Tuple[str, ...]
     setup: Callable[[float], Any]
-    run: Callable[[Any, str], Any]
-    #: Which backend switch the case exercises ("analysis" kernels or
-    #: the "engine" trace builder/profilers) — reported by ``--list``.
+    run: Callable[[Any], Any]
+    #: The layer the case measures ("analysis", "detailed" or
+    #: "engine") — reported by ``--list`` and selectable by ``--filter``.
     layer: str = "analysis"
 
 
@@ -117,8 +109,8 @@ def _setup_kmeans(scale: float) -> np.ndarray:
     return project_bbvs(raw, DEFAULT_SAMPLING.projection_dim, seed=0)
 
 
-def _run_kmeans(payload: np.ndarray, backend: str) -> None:
-    cluster_with_bic(payload, kmax=8, seed=0, n_seeds=2, backend=backend)
+def _run_kmeans(payload: np.ndarray) -> None:
+    cluster_with_bic(payload, kmax=8, seed=0, n_seeds=2)
 
 
 # ----------------------------------------------------------------------
@@ -129,10 +121,8 @@ def _setup_signatures(scale: float) -> np.ndarray:
     return rng.random((64, DEFAULT_SAMPLING.signature_segments, 256))
 
 
-def _run_signatures(payload: np.ndarray, backend: str) -> None:
-    concat_signatures(
-        payload, dim=DEFAULT_SAMPLING.projection_dim, seed=0, backend=backend
-    )
+def _run_signatures(payload: np.ndarray) -> None:
+    concat_signatures(payload, dim=DEFAULT_SAMPLING.projection_dim, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +133,12 @@ def _setup_two_level(scale: float) -> Trace:
     return _bench_trace(scale)
 
 
-def _run_two_level(trace: Trace, backend: str) -> None:
+def _run_two_level(trace: Trace) -> None:
     sampling = _bench_sampling(trace)
-    with use_backend(backend):
-        coarse = Coasts(sampling).sample(trace, benchmark=_workload)
-        MultiLevelSampler(sampling).sample(
-            trace, benchmark=_workload, coarse_plan=coarse
-        )
+    coarse = Coasts(sampling).sample(trace, benchmark=_workload)
+    MultiLevelSampler(sampling).sample(
+        trace, benchmark=_workload, coarse_plan=coarse
+    )
 
 
 # ----------------------------------------------------------------------
@@ -168,60 +157,55 @@ def _setup_fine_plan(scale: float):
     return sampling, profile
 
 
-def _run_stratified(payload, backend: str) -> None:
+def _run_stratified(payload) -> None:
     sampling, profile = payload
-    with use_backend(backend):
-        StratifiedSampler(sampling).sample(profile, benchmark=_workload)
+    StratifiedSampler(sampling).sample(profile, benchmark=_workload)
 
 
-def _run_ranked_set(payload, backend: str) -> None:
+def _run_ranked_set(payload) -> None:
     sampling, profile = payload
-    with use_backend(backend):
-        RankedSetSampler(sampling).sample(profile, benchmark=_workload)
+    RankedSetSampler(sampling).sample(profile, benchmark=_workload)
 
 
 # ----------------------------------------------------------------------
 # detailed timing: the block-level OoO segment loop over the whole
 # trace (the "original sim-outorder" cost every speedup is quoted
-# against).  Backend-independent: measured vectorized-only.
+# against).
 
 def _setup_detailed(scale: float) -> Trace:
     return _bench_trace(scale)
 
 
-def _run_detailed(trace: Trace, backend: str) -> None:
+def _run_detailed(trace: Trace) -> None:
     TimingSimulator(trace, CONFIG_A).simulate_full()
 
 
 # ----------------------------------------------------------------------
 # engine cases: the trace unroll and the functional profiling passes,
-# measured per-call under both engine backends (``repro.engine.backend``
-# is independent of the analysis switch; the ``backend=`` keyword wins
-# over the process-global selection, so the suite needs no context
-# manager here).
+# measured per call.
 
 def _setup_trace_build(scale: float):
     return load_workload(_workload, scale=scale)
 
 
-def _run_trace_build(workload, backend: str) -> None:
-    TraceBuilder(workload).build(backend=backend)
+def _run_trace_build(workload) -> None:
+    TraceBuilder(workload).build()
 
 
 def _setup_functional(scale: float) -> FunctionalSimulator:
     return FunctionalSimulator(_bench_trace(scale))
 
 
-def _run_coarse(sim: FunctionalSimulator, backend: str) -> None:
-    sim.profile_coarse_intervals(backend=backend)
+def _run_coarse(sim: FunctionalSimulator) -> None:
+    sim.profile_coarse_intervals()
 
 
-def _run_structures(sim: FunctionalSimulator, backend: str) -> None:
-    sim.profile_structures(backend=backend)
+def _run_structures(sim: FunctionalSimulator) -> None:
+    sim.profile_structures()
 
 
-def _run_functional(sim: FunctionalSimulator, backend: str) -> None:
-    sim.run(backend=backend)
+def _run_functional(sim: FunctionalSimulator) -> None:
+    sim.run()
 
 
 #: The suite, in reporting order.
@@ -229,28 +213,24 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
     BenchCase(
         name="kmeans_sweep",
         description="BIC k-sweep over 300x15 projected BBVs (kmax 8)",
-        backends=("vectorized", "scalar"),
         setup=_setup_kmeans,
         run=_run_kmeans,
     ),
     BenchCase(
         name="signature_build",
         description="COASTS signature build, 64 instances x 4 chunks x 256 blocks",
-        backends=("vectorized", "scalar"),
         setup=_setup_signatures,
         run=_run_signatures,
     ),
     BenchCase(
         name="two_level_plan",
         description="coarse + fine two-level sampling plan on gzip",
-        backends=("vectorized", "scalar"),
         setup=_setup_two_level,
         run=_run_two_level,
     ),
     BenchCase(
         name="plan_stratified",
         description="stratified plan (cluster + Neyman allocation) on gzip",
-        backends=("vectorized", "scalar"),
         setup=_setup_fine_plan,
         run=_run_stratified,
     ),
@@ -258,14 +238,12 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
         name="plan_ranked_set",
         description="ranked-set plan (proxy rank + repeated subsampling) "
                     "on gzip",
-        backends=("vectorized", "scalar"),
         setup=_setup_fine_plan,
         run=_run_ranked_set,
     ),
     BenchCase(
         name="detailed_timing",
         description="detailed timing segment loop, full gzip trace",
-        backends=("vectorized",),
         setup=_setup_detailed,
         run=_run_detailed,
         layer="detailed",
@@ -273,7 +251,6 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
     BenchCase(
         name="trace_build",
         description="trace unroll from workload schedule (gzip)",
-        backends=("vectorized", "scalar"),
         setup=_setup_trace_build,
         run=_run_trace_build,
         layer="engine",
@@ -281,7 +258,6 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
     BenchCase(
         name="coarse_profile",
         description="per-outer-iteration coarse BBV profile (gzip)",
-        backends=("vectorized", "scalar"),
         setup=_setup_functional,
         run=_run_coarse,
         layer="engine",
@@ -289,7 +265,6 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
     BenchCase(
         name="structure_profile",
         description="per-loop dynamic coverage profile (gzip)",
-        backends=("vectorized", "scalar"),
         setup=_setup_functional,
         run=_run_structures,
         layer="engine",
@@ -297,7 +272,6 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
     BenchCase(
         name="functional_run",
         description="whole-trace functional block counts (gzip)",
-        backends=("vectorized", "scalar"),
         setup=_setup_functional,
         run=_run_functional,
         layer="engine",

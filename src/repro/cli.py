@@ -13,7 +13,7 @@ Three subcommands drive the library without writing Python::
     python -m repro obs diag t.jsonl          # per-phase error budgets
     python -m repro obs history               # past runs (.repro_history/)
     python -m repro obs diff prev last        # regression check, exit 1
-    python -m repro bench                     # analysis microbenchmarks
+    python -m repro bench                     # per-kernel microbenchmarks
     python -m repro bench --compare benchmarks/BENCH_baseline.json
 
 Every ``run``/``suite``/``bench`` invocation appends one record to the
@@ -600,8 +600,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cases = select_cases(args.filter)
     if args.list:
         for case in cases:
-            print(f"{case.name}: {case.description} "
-                  f"[{case.layer}: {', '.join(case.backends)}]")
+            print(f"{case.name}: {case.description} [{case.layer}]")
         return 0
 
     baseline = None
@@ -619,28 +618,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cases, scale=args.scale, reps=args.reps, warmup=args.warmup, obs=obs
     )
 
-    rows = []
-    for result in results:
-        vectorized = result.timings.get("vectorized")
-        scalar = result.timings.get("scalar")
-        rows.append([
-            result.name,
-            f"{1e3 * vectorized.best:.3f}" if vectorized else "-",
-            f"{1e3 * vectorized.mean:.3f}" if vectorized else "-",
-            f"{1e3 * scalar.best:.3f}" if scalar else "-",
-            f"{result.speedup:.2f}x" if result.speedup is not None else "-",
-        ])
+    rows = [
+        [result.name, f"{1e3 * result.best:.3f}", f"{1e3 * result.mean:.3f}"]
+        for result in results
+    ]
     print(format_table(
-        ["case", "vec best ms", "vec mean ms", "scalar best ms", "speedup"],
+        ["case", "best ms", "mean ms"],
         rows,
         title=f"repro bench (scale {args.scale}, {args.reps} reps, "
               f"{args.warmup} warmup)",
     ))
 
-    report = BenchReport.build(
-        results, scale=args.scale,
-        min_speedups=baseline.min_speedups if baseline is not None else None,
-    )
+    report = BenchReport.build(results, scale=args.scale)
     report.write(args.out)
     print(f"[bench report written to {args.out}]")
     if not getattr(args, "no_history", False):
@@ -1005,15 +994,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the analysis microbenchmark suite and record "
+        help="run the per-kernel microbenchmark suite and record "
              "BENCH_phase_analysis.json",
     )
     bench.add_argument("--reps", type=int, default=5, metavar="N",
-                       help="measured repetitions per case and backend "
-                            "(default: 5)")
+                       help="measured repetitions per case (default: 5)")
     bench.add_argument("--warmup", type=int, default=1, metavar="N",
-                       help="unmeasured warm-up runs per case and backend "
-                            "(default: 1)")
+                       help="unmeasured warm-up runs per case (default: 1)")
     bench.add_argument("--filter", default=None, metavar="PATTERN",
                        help="only cases whose name contains PATTERN "
                             "(glob patterns match the whole name; a "
@@ -1033,16 +1020,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"report file (default: {DEFAULT_REPORT_NAME})")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
                        help="compare against a recorded baseline report; "
-                            "regressions exit 1")
+                            "a baseline case that was not run (or, with "
+                            "--wall, a slower one) exits 1")
     bench.add_argument("--threshold", type=float, default=0.5,
                        metavar="FRACTION",
-                       help="tolerated fractional slack for --compare; "
-                            "applies to the relative ratio check and "
-                            "--wall, never to the min_speedup floors "
-                            "(default: 0.5)")
+                       help="tolerated fractional wall-clock slack for "
+                            "--wall (default: 0.5)")
     bench.add_argument("--wall", action="store_true",
                        help="also compare wall-clock times (same-host "
-                            "baselines only; ratio checks are always on)")
+                            "baselines only)")
     bench.add_argument("--trace-out", metavar="FILE", default=None,
                        help="write the bench span/metric log as JSONL")
     bench.add_argument("-v", "--verbose", action="count",

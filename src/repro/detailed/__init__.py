@@ -1,15 +1,12 @@
-"""Detailed (cycle-accurate) simulators."""
+"""The detailed (cycle-level) timing simulator and its result types."""
 
-from .ooo import DEFAULT_MAX_INSTRUCTIONS, OoOSimulator
 from .results import Deviation, Metrics, SimulationResult, WeightedMetrics
 from .timing import MachineState, TimingSimulator
 
 __all__ = [
-    "DEFAULT_MAX_INSTRUCTIONS",
     "Deviation",
     "MachineState",
     "Metrics",
-    "OoOSimulator",
     "SimulationResult",
     "TimingSimulator",
     "WeightedMetrics",

@@ -1,6 +1,5 @@
 """Dynamic trace generation, functional simulation and profiling."""
 
-from .backend import get_backend, resolve_backend, set_backend, use_backend
 from .functional import FunctionalSimulator
 from .profiles import (
     CoarseIntervalProfile,
@@ -34,10 +33,6 @@ __all__ = [
     "attach_or_none",
     "attach_trace",
     "build_trace",
-    "get_backend",
-    "resolve_backend",
-    "set_backend",
     "share_trace",
     "shm_enabled",
-    "use_backend",
 ]

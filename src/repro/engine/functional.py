@@ -10,24 +10,22 @@ composition.  Attribution error is confined to partial reps at interval
 boundaries (tens of instructions against 10K-instruction intervals) and is
 zero for coarse intervals, whose boundaries coincide with segment boundaries.
 
-The whole-trace run and the coarse/structure profilers are
-backend-switched (:mod:`repro.engine.backend`): the vectorized default
-reduces each pass to a handful of weighted :func:`np.bincount` calls over
-the trace's flat arrays, laid out so every accumulator cell receives its
-additions in exactly the order the retained scalar loops add them — the
+The whole-trace run and every profiler reduce their pass to a handful of
+weighted :func:`np.bincount` calls over the trace's flat arrays, laid out
+so every accumulator cell receives its additions in exactly the order
+the per-segment loops in ``tests/reference/engine.py`` add them — the
 outputs are bit-identical, which the differential tests assert.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import TraceError
 from ..obs import FUNCTIONAL_INSTRUCTIONS, PROFILE_PASSES, MetricsRegistry
-from .backend import resolve_backend
 from .profiles import (
     CoarseIntervalProfile,
     FixedIntervalProfile,
@@ -55,29 +53,20 @@ class FunctionalSimulator:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
-    def run(self, backend: Optional[str] = None) -> FunctionalResult:
+    def run(self) -> FunctionalResult:
         """Execute the whole trace, returning aggregate block counts.
 
-        Vectorized: one weighted bincount over the trace's flat block
-        array; float64 holds the integer rep counts exactly (they are
-        far below 2**53).  Scalar: the per-segment/per-block loop the
-        bincount replaces, kept as the differential reference.
+        One weighted bincount over the trace's flat block array; float64
+        holds the integer rep counts exactly (they are far below 2**53).
         """
         trace = self.trace
-        if resolve_backend(backend) == "scalar":
-            counts = np.zeros(self.program.n_blocks, dtype=np.int64)
-            for index in range(trace.n_segments):
-                seg = trace.segment_at(index)
-                for block in seg.blocks:
-                    counts[block] += seg.reps
-        else:
-            counts = np.bincount(
-                trace.flat_blocks,
-                weights=np.repeat(
-                    trace.reps, trace.blocks_per_segment
-                ).astype(np.float64),
-                minlength=self.program.n_blocks,
-            ).astype(np.int64)
+        counts = np.bincount(
+            trace.flat_blocks,
+            weights=np.repeat(
+                trace.reps, trace.blocks_per_segment
+            ).astype(np.float64),
+            minlength=self.program.n_blocks,
+        ).astype(np.int64)
         instructions = counts * self.program.block_sizes
         self.metrics.counter(PROFILE_PASSES, kind="functional_run").inc()
         self.metrics.counter(FUNCTIONAL_INSTRUCTIONS).inc(
@@ -135,8 +124,8 @@ class FunctionalSimulator:
         becomes one entry of a weighted :func:`np.bincount` over flattened
         (interval, block) cell ids.  Entries are laid out in segment order
         and each cell receives at most one entry per segment, so every BBV
-        cell accumulates its additions in exactly the order the scalar
-        per-segment loop used — the result is bit-identical.
+        cell accumulates its additions in exactly the order a per-segment
+        loop would — the result is bit-identical to it.
         """
         trace = self.trace
         n_blocks = self.program.n_blocks
@@ -183,7 +172,6 @@ class FunctionalSimulator:
         self,
         n_segments: int = 4,
         bounds: Optional[np.ndarray] = None,
-        backend: Optional[str] = None,
     ) -> CoarseIntervalProfile:
         """Collect BBVs per outer-loop iteration instance.
 
@@ -200,10 +188,7 @@ class FunctionalSimulator:
         bounds = np.asarray(bounds, dtype=np.int64)
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise TraceError("bounds must be an (n, 2) array")
-        if resolve_backend(backend) == "scalar":
-            bbv, seg_bbv = self._coarse_scalar(bounds, n_segments)
-        else:
-            bbv, seg_bbv = self._coarse_vectorized(bounds, n_segments)
+        bbv, seg_bbv = self._coarse_bbvs(bounds, n_segments)
 
         starts = bounds[:, 0].copy()
         instructions = (bounds[:, 1] - bounds[:, 0]).astype(np.int64)
@@ -218,67 +203,18 @@ class FunctionalSimulator:
             segment_bbvs=seg_bbv,
         )
 
-    def _coarse_scalar(
-        self, bounds: np.ndarray, n_segments: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-instance piece walk — the differential reference."""
-        trace = self.trace
-        n_instances = len(bounds)
-        n_blocks = self.program.n_blocks
-        bbv = np.zeros((n_instances, n_blocks), dtype=np.float64)
-        seg_bbv = np.zeros((n_instances, n_segments, n_blocks), dtype=np.float64)
-
-        for i in range(n_instances):
-            start, end = int(bounds[i, 0]), int(bounds[i, 1])
-            if end <= start:
-                raise TraceError(f"instance {i}: empty bounds")
-            length = end - start
-            chunk = length / n_segments
-            for piece in trace.clip(start, end):
-                # Precomputed flat slices replace per-piece np.fromiter.
-                flat_lo = int(trace.flat_offsets[piece.seg_index])
-                flat_hi = int(trace.flat_offsets[piece.seg_index + 1])
-                block_ids = trace.flat_blocks[flat_lo:flat_hi]
-                rep_len = int(trace.rep_lengths[piece.seg_index])
-                composition = trace.flat_composition[flat_lo:flat_hi]
-                p_start = max(piece.start_inst, start)
-                p_end = min(piece.start_inst + piece.n_reps * rep_len, end)
-                if p_end <= p_start:
-                    continue
-                insts = p_end - p_start
-                bbv[i, block_ids] += insts * composition
-                # distribute over temporal sub-chunks
-                first = int((p_start - start) / chunk)
-                last = int((p_end - 1 - start) / chunk)
-                first = min(first, n_segments - 1)
-                last = min(last, n_segments - 1)
-                if first == last:
-                    seg_bbv[i, first][block_ids] += insts * composition
-                else:
-                    edges = [p_start]
-                    for s in range(first + 1, last + 1):
-                        edges.append(start + int(round(s * chunk)))
-                    edges.append(p_end)
-                    for s, (edge_lo, edge_hi) in enumerate(
-                        zip(edges[:-1], edges[1:]), start=first
-                    ):
-                        if edge_hi > edge_lo:
-                            seg_bbv[i, s][block_ids] += \
-                                (edge_hi - edge_lo) * composition
-        return bbv, seg_bbv
-
-    def _coarse_vectorized(
+    def _coarse_bbvs(
         self, bounds: np.ndarray, n_segments: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One weighted-bincount pass over flattened (instance, sub-chunk,
         block) cells.
 
         Entry layout is instance-major, then trace order, then sub-chunk,
-        then block position — exactly the order the scalar walk issues its
-        ``+=`` updates, and ``np.bincount`` adds entries in index order, so
-        every accumulator cell sees the same addition sequence and the
-        profile is bit-identical.  Sub-chunk edges reproduce the scalar
-        arithmetic operation for operation (truncating division for chunk
+        then block position — exactly the order the reference piece walk
+        issues its ``+=`` updates, and ``np.bincount`` adds entries in
+        index order, so every accumulator cell sees the same addition
+        sequence and the profile is bit-identical.  Sub-chunk edges
+        reproduce the walk's arithmetic operation for operation (truncating division for chunk
         indices, round-half-even for interior edges); zero-width edge
         spans contribute exact ``+0.0`` no-ops instead of being skipped.
         """
@@ -385,42 +321,31 @@ class FunctionalSimulator:
         return bbv, seg_bbv
 
     # ------------------------------------------------------------------
-    def profile_structures(
-        self, backend: Optional[str] = None
-    ) -> StructureProfiles:
+    def profile_structures(self) -> StructureProfiles:
         """Dynamic coverage and instance counts per cyclic structure."""
         trace = self.trace
         program = self.program
         total = trace.total_instructions
-        if resolve_backend(backend) == "scalar":
-            insts: Dict[int, int] = {l.loop_id: 0 for l in program.loops}
-            instances: Dict[int, int] = {l.loop_id: 0 for l in program.loops}
-            # Inner-loop instructions from segments tagged with a loop id;
-            # the visit count is the number of body segments.
-            for index in range(trace.n_segments):
-                loop_id = int(trace.loop_id[index])
-                if loop_id >= 0:
-                    insts[loop_id] += int(trace.segment_instructions[index])
-                    instances[loop_id] += 1
-        else:
-            # Weighted bincount over the tagged segments' loop ids; the
-            # integer instruction totals are exact in float64 (< 2**53).
-            loop_ids = [loop.loop_id for loop in program.loops]
-            minlength = max(loop_ids) + 1 if loop_ids else 1
-            tagged = trace.loop_id >= 0
-            ids = trace.loop_id[tagged]
-            if ids.size:
-                minlength = max(minlength, int(ids.max()) + 1)
-            inst_sums = np.bincount(
-                ids,
-                weights=trace.segment_instructions[tagged].astype(np.float64),
-                minlength=minlength,
-            ).astype(np.int64)
-            inst_counts = np.bincount(ids, minlength=minlength)
-            insts = {l.loop_id: int(inst_sums[l.loop_id]) for l in program.loops}
-            instances = {
-                l.loop_id: int(inst_counts[l.loop_id]) for l in program.loops
-            }
+        # Inner-loop instructions from segments tagged with a loop id, by
+        # a weighted bincount over their loop ids (the integer totals are
+        # exact in float64, < 2**53); the visit count is the number of
+        # body segments.
+        loop_ids = [loop.loop_id for loop in program.loops]
+        minlength = max(loop_ids) + 1 if loop_ids else 1
+        tagged = trace.loop_id >= 0
+        ids = trace.loop_id[tagged]
+        if ids.size:
+            minlength = max(minlength, int(ids.max()) + 1)
+        inst_sums = np.bincount(
+            ids,
+            weights=trace.segment_instructions[tagged].astype(np.float64),
+            minlength=minlength,
+        ).astype(np.int64)
+        inst_counts = np.bincount(ids, minlength=minlength)
+        insts = {l.loop_id: int(inst_sums[l.loop_id]) for l in program.loops}
+        instances = {
+            l.loop_id: int(inst_counts[l.loop_id]) for l in program.loops
+        }
 
         # The outer loop covers everything after the prologue; one instance
         # per outer iteration.  Propagate inner-loop headers implicitly.

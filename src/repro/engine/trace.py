@@ -11,10 +11,10 @@ int64 arrays (``flat_blocks`` plus per-segment ``blocks_per_segment``,
 profilers index directly and that cross process boundaries zero-copy via
 shared memory (:mod:`repro.engine.shm`).  :class:`Segment` tuples are
 materialised lazily, only for the consumers that still want object views
-(the instruction-level OoO core and the scalar reference profilers; the
-block-level timing simulator walks the arrays directly).
+(the reference builder and profilers the tests compare against; the
+profilers and the timing simulator walk the arrays directly).
 
-Every consumer — the functional profiler, both detailed simulators, the
+Every consumer — the functional profiler, the detailed simulator, the
 sampling cost accounting — reads the *same* trace, so baseline and sampled
 results are directly comparable, exactly as SimPoint-style methods assume
 when they mix `sim-fast` and `sim-outorder` runs of one binary.
@@ -31,7 +31,6 @@ import numpy as np
 from ..errors import TraceError
 from ..workloads.generator import Workload
 from ..workloads.spec import BenchmarkSpec
-from .backend import resolve_backend
 
 #: The per-segment columns of an array-native trace, in canonical order
 #: (``flat_blocks`` first, then the five per-segment columns).
@@ -95,9 +94,8 @@ class SegmentPiece:
 def _arrays_from_segments(segments: List[Segment]) -> Dict[str, np.ndarray]:
     """Flatten :class:`Segment` objects into the canonical trace arrays.
 
-    This is the scalar-reference conversion: one Python pass in segment
-    order, so the resulting arrays are identical to what the vectorized
-    builder emits directly.
+    One Python pass in segment order, so a trace built from segments has
+    exactly the arrays the builder emits directly.
     """
     flat: List[int] = []
     nblocks: List[int] = []
@@ -125,11 +123,10 @@ def _arrays_from_segments(segments: List[Segment]) -> Dict[str, np.ndarray]:
 class Trace:
     """The materialised dynamic trace of one workload.
 
-    Construct from a list of :class:`Segment` objects (the scalar path)
-    or directly from the canonical arrays via ``arrays=`` (the
-    vectorized builder and the shared-memory attach path).  Either way
-    the canonical state is the flat arrays; ``segments`` materialises
-    object views lazily.
+    Construct from a list of :class:`Segment` objects or directly from
+    the canonical arrays via ``arrays=`` (the builder and the
+    shared-memory attach path).  Either way the canonical state is the
+    flat arrays; ``segments`` materialises object views lazily.
     """
 
     def __init__(
@@ -309,19 +306,15 @@ class Trace:
 class TraceBuilder:
     """Deterministically unroll a workload's schedule into a trace.
 
-    Two backends produce byte-identical traces (see
-    :mod:`repro.engine.backend`):
-
-    * ``vectorized`` (default): one Python pass draws the RNG stream in
-      the exact order the scalar builder draws it (jitter normals, noise
-      uniforms/integers — the draws are interleaved and control-flow
-      dependent, so their order is part of the trace's definition) while
-      appending plain ints to flat columns; the jitter factors and rep
-      counts are then computed in one batched ``exp``/``rint`` pass, and
-      the trace is constructed array-native without ever materialising
-      :class:`Segment` objects.
-    * ``scalar``: the original object builder, kept as the differential
-      reference.
+    One Python pass draws the RNG stream in the exact order the object
+    builder in ``tests/reference/engine.py`` draws it (jitter normals,
+    noise uniforms/integers — the draws are interleaved and control-flow
+    dependent, so their order is part of the trace's definition) while
+    appending plain ints to flat columns; the jitter factors and rep
+    counts are then computed in one batched ``exp``/``rint`` pass, and
+    the trace is constructed array-native without ever materialising
+    :class:`Segment` objects.  The result is byte-identical to the
+    reference builder's.
     """
 
     #: Reps of the prologue init loop per ``prologue_iterations`` unit.
@@ -330,81 +323,6 @@ class TraceBuilder:
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
 
-    def build(self, backend: Optional[str] = None) -> Trace:
-        """Unroll the schedule and return the trace."""
-        if resolve_backend(backend) == "scalar":
-            return self._build_scalar()
-        return self._build_vectorized()
-
-    # ------------------------------------------------------------------
-    def _build_scalar(self) -> Trace:
-        """Unroll into Segment objects (the reference implementation)."""
-        wl = self.workload
-        spec = wl.spec
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        segments: List[Segment] = []
-
-        # --- prologue --------------------------------------------------
-        for block in wl.prologue_blocks:
-            segments.append(Segment(blocks=(block,), reps=1))
-        init_reps = self.INIT_LOOP_REPS * max(1, spec.prologue_iterations)
-        segments.append(Segment(blocks=(wl.init_loop_header,), reps=1))
-        segments.append(
-            Segment(
-                blocks=(wl.init_loop_body,), reps=init_reps,
-                loop_id=wl.init_loop_id,
-            )
-        )
-        for scan_block, scan_reps in wl.init_scans:
-            segments.append(Segment(blocks=(scan_block,), reps=scan_reps))
-
-        # --- main outer loop --------------------------------------------
-        # Every visit re-sweeps its loop's working set from the start
-        # (iter_base = 0): loops re-read the same data on every visit, the
-        # temporal locality that makes phase behaviour stationary across
-        # iteration instances.
-        for outer_index, regime_index in enumerate(spec.schedule):
-            layout = wl.regime_layouts[regime_index]
-            scale = spec.scale_of(outer_index)
-            segments.append(
-                Segment(blocks=(wl.outer_header,), reps=1,
-                        outer_index=outer_index)
-            )
-            max_visits = max(l.spec.visits for l in layout.loops)
-            for visit in range(max_visits):
-                for inner in layout.loops:
-                    if visit >= inner.spec.visits:
-                        continue
-                    jitter = inner.spec.jitter
-                    factor = float(np.exp(rng.normal(0.0, jitter))) if jitter else 1.0
-                    reps = max(1, int(round(inner.spec.iterations * scale * factor)))
-                    segments.append(
-                        Segment(blocks=(inner.header_block,), reps=1,
-                                outer_index=outer_index)
-                    )
-                    segments.append(
-                        Segment(
-                            blocks=inner.body_blocks,
-                            reps=reps,
-                            outer_index=outer_index,
-                            iter_base=0,
-                            loop_id=inner.loop_id,
-                        )
-                    )
-                    if spec.noise and rng.random() < spec.noise:
-                        noise_block = wl.noise_blocks[
-                            int(rng.integers(len(wl.noise_blocks)))
-                        ]
-                        segments.append(
-                            Segment(
-                                blocks=(noise_block,),
-                                reps=int(rng.integers(1, 5)),
-                                outer_index=outer_index,
-                            )
-                        )
-        return Trace(self.workload, segments)
-
-    # ------------------------------------------------------------------
     def _regime_entries(self) -> List[List[Tuple[int, List[int], int, int, float]]]:
         """Per regime: the ordered (visit-major) inner-loop entry list.
 
@@ -430,8 +348,9 @@ class TraceBuilder:
             entries_per_regime.append(entries)
         return entries_per_regime
 
-    def _build_vectorized(self) -> Trace:
-        """Emit the canonical arrays directly, batching the float math."""
+    def build(self) -> Trace:
+        """Unroll the schedule: emit the canonical arrays directly,
+        batching the float math."""
         wl = self.workload
         spec = wl.spec
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
@@ -460,12 +379,12 @@ class TraceBuilder:
             add_flat(scan_block); add_n(1); add_r(scan_reps); add_o(-1); add_l(-1)
 
         # --- main outer loop -------------------------------------------
-        # The walk draws the RNG stream in scalar order and leaves a rep
-        # placeholder per body segment; `normals` (0.0 when jitterless:
-        # exp(0) == 1 exactly) and `bases` ((iterations * scale), the
-        # scalar expression's association) feed one vectorized
-        # exp/rint/maximum pass below that is bit-identical to the
-        # per-entry max(1, int(round(iterations * scale * factor))).
+        # The walk draws the RNG stream in the reference builder's order
+        # and leaves a rep placeholder per body segment; `normals` (0.0
+        # when jitterless: exp(0) == 1 exactly) and `bases` ((iterations
+        # * scale), the per-entry expression's association) feed one
+        # vectorized exp/rint/maximum pass below that is bit-identical to
+        # the per-entry max(1, int(round(iterations * scale * factor))).
         entries_per_regime = self._regime_entries()
         noise = spec.noise
         noise_blocks = wl.noise_blocks
@@ -514,6 +433,6 @@ class TraceBuilder:
         return Trace(self.workload, arrays=arrays)
 
 
-def build_trace(workload: Workload, backend: Optional[str] = None) -> Trace:
+def build_trace(workload: Workload) -> Trace:
     """Convenience wrapper: unroll *workload* into its trace."""
-    return TraceBuilder(workload).build(backend=backend)
+    return TraceBuilder(workload).build()

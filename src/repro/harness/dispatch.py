@@ -386,10 +386,10 @@ class LocalPool(Pool):
 def _worker_env() -> Dict[str, str]:
     """Environment for spawned workers: this package stays importable.
 
-    ``$REPRO_FAULTS``, ``$REPRO_CACHE_DIR`` and the backend switches
-    cross untouched; the package's ``src`` root is prepended to
-    ``PYTHONPATH`` so ``python -m repro.harness.worker`` resolves even
-    when the dispatcher itself was started via ``sys.path`` tweaks.
+    ``$REPRO_FAULTS`` and ``$REPRO_CACHE_DIR`` cross untouched; the
+    package's ``src`` root is prepended to ``PYTHONPATH`` so
+    ``python -m repro.harness.worker`` resolves even when the dispatcher
+    itself was started via ``sys.path`` tweaks.
     """
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])

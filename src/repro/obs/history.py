@@ -6,8 +6,8 @@ by default, ``$REPRO_HISTORY_DIR`` relocates it).  A record carries the
 provenance keys of :class:`~repro.obs.manifest.RunManifest` — config,
 sampling and cost-model digests, workload scale, host fingerprint — plus
 the *numbers* worth tracking across commits: per-benchmark per-method
-accuracy (CPI/L1/L2 deviations), headline counters, and bench speedup
-ratios and best seconds per case.
+accuracy (CPI/L1/L2 deviations), headline counters, and bench best
+seconds per case.
 
 :func:`diff_records` compares two records metric by metric and renders
 thresholded PASS / REGRESSED / IMPROVED verdicts; the CLI's
@@ -54,9 +54,6 @@ COMPARABLE_KEYS = (
     "methods",
 )
 
-#: Fractional speedup drop treated as a bench regression.
-SPEEDUP_DROP_THRESHOLD = 0.10
-
 
 def default_history_dir() -> Path:
     """``$REPRO_HISTORY_DIR`` or ``.repro_history/`` under the cwd."""
@@ -89,11 +86,9 @@ class HistoryRecord:
     )
     #: Headline counters, keyed ``name`` or ``name{k=v,...}``.
     counters: Dict[str, float] = field(default_factory=dict)
-    #: Bench speedup ratios per case (``kind == "bench"`` records).
-    speedups: Dict[str, float] = field(default_factory=dict)
-    #: Bench best seconds per case (``kind == "bench"`` records), every
-    #: case including those without a speedup.  Host-dependent, so
-    #: :func:`diff_records` reports them but never gates on them.
+    #: Bench best seconds per case (``kind == "bench"`` records).
+    #: Host-dependent, so :func:`diff_records` reports them but never
+    #: gates on them.
     seconds: Dict[str, float] = field(default_factory=dict)
     #: Aggregate leaderboard rank per method, 1 = best
     #: (``kind == "leaderboard"`` records; see ``repro leaderboard``).
@@ -146,14 +141,17 @@ class HistoryRecord:
                 for bench, per_method in self.accuracy.items()
             },
             "counters": dict(self.counters),
-            "speedups": dict(self.speedups),
             "seconds": dict(self.seconds),
             "ranks": dict(self.ranks),
         }
 
     @staticmethod
     def from_dict(payload: dict) -> "HistoryRecord":
-        """Rebuild from :meth:`to_dict` output (unknown keys ignored)."""
+        """Rebuild from :meth:`to_dict` output.
+
+        Unknown keys are ignored, so records written by older builds
+        (e.g. with the retired bench ``speedups`` field) still load.
+        """
         known = set(HistoryRecord.__dataclass_fields__)
         return HistoryRecord(
             **{k: v for k, v in payload.items() if k in known}
@@ -223,25 +221,19 @@ def record_from_manifest(
 
 def record_from_bench(report: "BenchReport") -> HistoryRecord:
     """Build a history record out of a ``repro bench`` report."""
-    speedups: Dict[str, float] = {}
     seconds: Dict[str, float] = {}
     for case in report.cases:
-        name = case["name"]
-        speedup = case.get("speedup")
-        if speedup is not None:
-            speedups[name] = float(speedup)
-        best = report.best_seconds(name)
+        best = report.best_seconds(case["name"])
         if best is not None:
-            seconds[name] = float(best)
+            seconds[case["name"]] = float(best)
     return HistoryRecord(
         kind="bench",
         created=report.host.get("created", ""),
         workload_scale=report.scale,
-        benchmarks=sorted(set(speedups) | set(seconds)),
+        benchmarks=sorted(seconds),
         host={
             k: v for k, v in report.host.items() if k != "created"
         },
-        speedups=speedups,
         seconds=seconds,
     ).seal()
 
@@ -388,9 +380,7 @@ def diff_records(
     Accuracy deviations are judged against *threshold*: a deviation that
     grew by more than it REGRESSED, shrank by more than it IMPROVED,
     anything else PASSes.  Baseline/estimate CPIs and counters are
-    informational.  Bench speedups regress when the ratio drops more
-    than :data:`SPEEDUP_DROP_THRESHOLD` fractionally; bench seconds
-    depend on the host and are informational.
+    informational, and so are bench seconds, which depend on the host.
     """
     diff = HistoryDiff(a=a, b=b, threshold=threshold)
     key_a, key_b = a.comparable_key(), b.comparable_key()
@@ -452,25 +442,6 @@ def diff_records(
                 name=f"{kind}:{name}", a=va, b=vb, delta=delta,
                 verdict="INFO",
             ))
-
-    for case in sorted(set(a.speedups) | set(b.speedups)):
-        va, vb = a.speedups.get(case), b.speedups.get(case)
-        if va is None or vb is None:
-            side = "first" if va is None else "second"
-            diff.notes.append(
-                f"speedup {case}: absent from the {side} record"
-            )
-            continue
-        delta = vb - va
-        if va > 0 and vb < va * (1.0 - SPEEDUP_DROP_THRESHOLD):
-            verdict = "REGRESSED"
-        elif va > 0 and vb > va * (1.0 + SPEEDUP_DROP_THRESHOLD):
-            verdict = "IMPROVED"
-        else:
-            verdict = "PASS"
-        diff.entries.append(DiffEntry(
-            name=f"speedup:{case}", a=va, b=vb, delta=delta, verdict=verdict,
-        ))
 
     # Leaderboard ranks: a method sliding down the table (rank number
     # grew) is a regression — the signal CI's leaderboard smoke guards.

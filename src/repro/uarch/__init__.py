@@ -10,7 +10,6 @@ from .branch import (
     stationary_mispredict_rate,
 )
 from .cache import STREAM_FACTOR, Cache
-from .hierarchy import MemoryHierarchy
 from .occupancy import DataHierarchyModel, OccupancyCache
 from .scheduler import BlockScheduler, BlockTiming, effective_mlp
 
@@ -22,7 +21,6 @@ __all__ = [
     "CombinedPredictor",
     "GSharePredictor",
     "DataHierarchyModel",
-    "MemoryHierarchy",
     "OccupancyCache",
     "STREAM_FACTOR",
     "advance_loop_branch",

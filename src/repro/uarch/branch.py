@@ -4,7 +4,8 @@ Two layers live here:
 
 * **Stateful predictors** (:class:`BimodalPredictor`,
   :class:`GSharePredictor`, :class:`CombinedPredictor`) used per-branch by
-  the instruction-level OoO reference simulator.
+  the instruction-level OoO cross-check kept with the tests
+  (``tests/reference/ooo.py``).
 * **Analytic helpers** used by the block-level timing simulator: exact
   2-bit-counter dynamics for loop back-edges (``advance_loop_branch``) and
   the exact Markov-chain stationary mispredict rate for data-dependent

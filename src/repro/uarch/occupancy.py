@@ -30,7 +30,8 @@ region retained, warming passes populate state, and capacity differences
 (config A vs B) shift every hit rate.
 
 The set-associative model in :mod:`repro.uarch.cache` remains in use for
-the instruction cache and the instruction-level OoO reference simulator.
+the instruction cache (and in the instruction-level OoO cross-check kept
+with the tests, ``tests/reference/ooo.py``).
 """
 
 from __future__ import annotations

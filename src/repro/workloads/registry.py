@@ -89,7 +89,6 @@ def load_workload(name: str, scale: float = 1.0) -> Workload:
 def load_trace(
     name: str,
     scale: float = 1.0,
-    backend: Optional[str] = None,
     metrics=None,
 ):
     """The trace of benchmark *name*: unrolled, or imported verbatim.
@@ -109,7 +108,7 @@ def load_trace(
         )
     from ..engine.trace import build_trace
 
-    return build_trace(load_workload(name, scale=scale), backend=backend)
+    return build_trace(load_workload(name, scale=scale))
 
 
 def clear_cache() -> None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..config import MachineConfig
-from .cache import STREAM_FACTOR, Cache
+from repro.config import MachineConfig
+from repro.uarch.cache import STREAM_FACTOR, Cache
 
 
 class MemoryHierarchy:

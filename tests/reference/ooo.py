@@ -20,14 +20,15 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..config import MachineConfig
-from ..engine.trace import Trace
-from ..errors import SimulationError
-from ..isa.block import INSTRUCTION_BYTES
-from ..isa.opcodes import FU_CLASS, LATENCY, Opcode
-from ..uarch.branch import CombinedPredictor
-from ..uarch.hierarchy import MemoryHierarchy
-from .results import SimulationResult
+from repro.config import MachineConfig
+from repro.detailed.results import SimulationResult
+from repro.engine.trace import Trace
+from repro.errors import SimulationError
+from repro.isa.block import INSTRUCTION_BYTES
+from repro.isa.opcodes import FU_CLASS, LATENCY, Opcode
+from repro.uarch.branch import CombinedPredictor
+
+from .hierarchy import MemoryHierarchy
 
 #: Safety cap on expanded instructions per simulation.
 DEFAULT_MAX_INSTRUCTIONS = 2_000_000

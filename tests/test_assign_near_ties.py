@@ -5,7 +5,8 @@ The vectorized kernel shortlists centres with the BLAS expansion
 kernel.  The cases below are built so that the expansion alone gets
 labels wrong — exact mirror-symmetric ties, duplicate and one-ulp-apart
 centres, a large common offset that cancels catastrophically — and the
-kernel must still match the ``scalar`` backend byte for byte.
+kernel must still match the reference loop in
+``tests/reference/analysis.py`` byte for byte.
 
 CI re-runs this file with a multithreaded BLAS, which sums the dot
 products in a different order: the rounding bound must hold for both.
@@ -17,13 +18,15 @@ import pytest
 from repro.analysis import assign_points, squared_distances
 from repro.analysis import distance as distance_mod
 
+from .reference import analysis as reference
+
 
 def _mirror(d, offset=0.0, n=64, seed=0):
     """Points on the bisector of two mirror-image centres.
 
     The centres differ only in coordinate 0 (``m0 -/+ v``) and every
     point has ``x0 == m0``, so both exact distances are sums of the same
-    squares: a bitwise tie the scalar loop resolves to the first centre.
+    squares: a bitwise tie the reference loop resolves to the first centre.
     """
     rng = np.random.default_rng(seed)
     middle = rng.random(d) + offset
@@ -90,9 +93,8 @@ def _naive_labels(data, centers):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_matches_scalar_bit_for_bit(case):
     data, centers = CASES[case]
-    fast_labels, fast_best = assign_points(data, centers,
-                                           backend="vectorized")
-    slow_labels, slow_best = assign_points(data, centers, backend="scalar")
+    fast_labels, fast_best = assign_points(data, centers)
+    slow_labels, slow_best = reference.assign_points(data, centers)
     assert np.array_equal(fast_labels, slow_labels)
     assert fast_best.tobytes() == slow_best.tobytes()
 
@@ -116,16 +118,16 @@ def test_recheck_path_is_exercised(monkeypatch):
     monkeypatch.setattr(distance_mod, "_recheck", spy)
     for case in ("mirror-offset-d15", "duplicates-d60", "offset-d60"):
         data, centers = CASES[case]
-        assign_points(data, centers, backend="vectorized")
+        assign_points(data, centers)
     assert len(rechecked) == 3 and all(rows > 0 for rows in rechecked)
 
 
 def test_ties_resolve_to_first_center():
     data, centers = CASES["mirror-d15"]
-    labels, _ = assign_points(data, centers, backend="vectorized")
+    labels, _ = assign_points(data, centers)
     assert np.all(labels == 0)
     data, centers = CASES["duplicates-d15"]
-    labels, _ = assign_points(data[:4], centers, backend="vectorized")
+    labels, _ = assign_points(data[:4], centers)
     assert np.all(labels == 1)
 
 
@@ -135,7 +137,7 @@ def test_naive_expansion_would_fail():
         case for case, (data, centers) in sorted(CASES.items())
         if not np.array_equal(
             _naive_labels(data, centers),
-            assign_points(data, centers, backend="scalar")[0],
+            reference.assign_points(data, centers)[0],
         )
     ]
     assert wrong
@@ -144,7 +146,7 @@ def test_naive_expansion_would_fail():
 def test_non_finite_inputs_fall_back_to_exact():
     data = np.array([[0.0, 1.0], [np.nan, 0.0], [np.inf, 2.0]])
     centers = np.array([[0.0, 0.0], [1.0, 1.0]])
-    fast = assign_points(data, centers, backend="vectorized")
-    slow = assign_points(data, centers, backend="scalar")
+    fast = assign_points(data, centers)
+    slow = reference.assign_points(data, centers)
     assert np.array_equal(fast[0], slow[0])
     assert fast[1].tobytes() == slow[1].tobytes()

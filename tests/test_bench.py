@@ -14,37 +14,32 @@ from repro.bench import (
     run_bench,
     select_cases,
 )
-from repro.bench.runner import BENCH_REPS, BackendTiming, CaseResult
+from repro.bench.runner import BENCH_REPS, CaseResult
 from repro.cli import EXIT_PARTIAL, main
 from repro.errors import HarnessError
 from repro.obs import ObsContext
 
 
-def _fake_case(name="fake", backends=("vectorized", "scalar")):
-    calls = {"setup": 0, "run": []}
+def _fake_case(name="fake"):
+    calls = {"setup": 0, "run": 0}
 
     def setup(scale):
         calls["setup"] += 1
         return {"scale": scale}
 
-    def run(payload, backend):
-        calls["run"].append(backend)
+    def run(payload):
+        calls["run"] += 1
 
     case = BenchCase(
-        name=name, description="a fake case", backends=tuple(backends),
-        setup=setup, run=run,
+        name=name, description="a fake case", setup=setup, run=run,
     )
     return case, calls
 
 
-def _result(name="fake", vec=0.01, scal=0.05, backends=("vectorized", "scalar")):
-    timings = {}
-    if "vectorized" in backends:
-        timings["vectorized"] = BackendTiming("vectorized", (vec, vec * 2))
-    if "scalar" in backends:
-        timings["scalar"] = BackendTiming("scalar", (scal, scal * 2))
+def _result(name="fake", best=0.01):
     return CaseResult(
-        name=name, description="d", reps=2, warmup=0, timings=timings
+        name=name, description="d", reps=2, warmup=0,
+        seconds=(best, best * 2),
     )
 
 
@@ -62,17 +57,11 @@ class TestSuite:
         with pytest.raises(HarnessError, match="no bench case"):
             select_cases("warp_drive")
 
-    def test_speedup_cases_have_scalar_reference(self):
-        for case in BENCH_SUITE:
-            assert case.backends[0] == "vectorized"
-            assert set(case.backends) <= {"vectorized", "scalar"}
-
     def test_engine_cases_present_with_layer(self):
         by_name = {case.name: case for case in BENCH_SUITE}
         for name in ("trace_build", "coarse_profile", "structure_profile",
                      "functional_run"):
             assert by_name[name].layer == "engine"
-            assert by_name[name].backends == ("vectorized", "scalar")
         assert by_name["kmeans_sweep"].layer == "analysis"
 
     def test_trace_filter_selects_engine_case(self):
@@ -102,16 +91,11 @@ class TestRunner:
         obs = ObsContext()
         results = run_bench([case], scale=0.1, reps=3, warmup=2, obs=obs)
         assert calls["setup"] == 1
-        # Per backend: 2 warmup + 3 measured.
-        assert calls["run"].count("vectorized") == 5
-        assert calls["run"].count("scalar") == 5
+        # 2 warmup + 3 measured.
+        assert calls["run"] == 5
         (result,) = results
-        assert set(result.timings) == {"vectorized", "scalar"}
-        assert len(result.timings["vectorized"].seconds) == 3
-        assert result.speedup is not None and result.speedup > 0
-        assert obs.metrics.value(
-            BENCH_REPS, case="fake", backend="vectorized"
-        ) == 3
+        assert len(result.seconds) == 3
+        assert obs.metrics.value(BENCH_REPS, case="fake") == 3
 
     def test_spans_nest_under_case(self):
         case, _ = _fake_case()
@@ -121,14 +105,9 @@ class TestRunner:
         assert root.name == "bench_case"
         names = [span.name for span in root.walk()]
         assert names.count("bench_setup") == 1
-        assert names.count("bench_rep") == 4  # 2 reps x 2 backends
+        assert names.count("bench_rep") == 2
         reps = [s for s in root.walk() if s.name == "bench_rep"]
         assert all(s.duration is not None for s in reps)
-
-    def test_vectorized_only_case_has_no_speedup(self):
-        case, _ = _fake_case(backends=("vectorized",))
-        (result,) = run_bench([case], scale=0.1, reps=1, warmup=0)
-        assert result.speedup is None
 
     def test_bad_reps_and_warmup_rejected(self):
         case, _ = _fake_case()
@@ -137,11 +116,13 @@ class TestRunner:
         with pytest.raises(HarnessError, match="warmup"):
             run_bench([case], scale=0.1, reps=1, warmup=-1)
 
-    def test_backend_timing_statistics(self):
-        timing = BackendTiming("vectorized", (0.3, 0.1, 0.2))
-        assert timing.best == 0.1
-        assert timing.mean == pytest.approx(0.2)
-        assert timing.to_dict()["best_seconds"] == 0.1
+    def test_timing_statistics(self):
+        result = CaseResult("fake", "d", reps=3, warmup=0,
+                            seconds=(0.3, 0.1, 0.2))
+        assert result.best == 0.1
+        assert result.mean == pytest.approx(0.2)
+        assert result.to_dict()["best_seconds"] == 0.1
+        assert "speedup" not in result.to_dict()
 
 
 class TestReport:
@@ -151,18 +132,14 @@ class TestReport:
         for key in ("python_version", "numpy_version", "platform",
                     "repro_version", "created"):
             assert key in report.host
-        assert report.speedup("fake") == pytest.approx(5.0)
         assert report.best_seconds("fake") == 0.01
         assert report.case("absent") is None
 
     def test_write_load_round_trip(self, tmp_path):
-        report = BenchReport.build(
-            [_result()], scale=0.25, min_speedups={"fake": 2.0}
-        )
+        report = BenchReport.build([_result()], scale=0.25)
         path = report.write(tmp_path / "bench.json")
         loaded = load_report(path)
         assert loaded.to_dict() == report.to_dict()
-        assert loaded.min_speedups == {"fake": 2.0}
 
     def test_missing_baseline_rejected(self, tmp_path):
         with pytest.raises(HarnessError, match="not found"):
@@ -183,54 +160,16 @@ class TestReport:
     def test_committed_baseline_loads(self):
         baseline = load_report("benchmarks/BENCH_baseline.json")
         assert baseline.schema_version == BENCH_SCHEMA_VERSION
-        assert set(baseline.min_speedups) <= {
-            case["name"] for case in baseline.cases
-        }
-        # The tentpole's acceptance floor: kmeans sweep >= 2x.
-        assert baseline.min_speedups["kmeans_sweep"] >= 2.0
-        # The engine floors: coarse profiling >= 5x, trace build >= 2x.
-        assert baseline.min_speedups["coarse_profile"] >= 5.0
-        assert baseline.min_speedups["trace_build"] >= 2.0
+        # The CI gate compares against it: it must name every case.
+        assert [case["name"] for case in baseline.cases] == \
+            [case.name for case in BENCH_SUITE]
 
 
 class TestCompare:
     def test_clean_comparison(self):
-        baseline = BenchReport.build(
-            [_result()], scale=0.25, min_speedups={"fake": 2.0}
-        )
+        baseline = BenchReport.build([_result()], scale=0.25)
         current = BenchReport.build([_result()], scale=0.25)
         assert compare_reports(current, baseline) == []
-
-    def test_floor_violation_flagged(self):
-        baseline = BenchReport.build(
-            [_result()], scale=0.25, min_speedups={"fake": 2.0}
-        )
-        slow = BenchReport.build(
-            [_result(vec=0.04, scal=0.05)], scale=0.25
-        )
-        regressions = compare_reports(slow, baseline)
-        assert any("floor" in r for r in regressions)
-
-    def test_floor_demands_a_measured_ratio(self):
-        baseline = BenchReport.build(
-            [_result(backends=("vectorized",))], scale=0.25,
-            min_speedups={"fake": 2.0},
-        )
-        current = BenchReport.build(
-            [_result(backends=("vectorized",))], scale=0.25
-        )
-        regressions = compare_reports(current, baseline)
-        assert any("no ratio was measured" in r for r in regressions)
-
-    def test_relative_slowdown_flagged(self):
-        baseline = BenchReport.build([_result(vec=0.01, scal=0.10)],
-                                     scale=0.25)  # 10x
-        current = BenchReport.build([_result(vec=0.01, scal=0.04)],
-                                    scale=0.25)   # 4x
-        regressions = compare_reports(current, baseline, threshold=0.5)
-        assert any("below baseline" in r for r in regressions)
-        # A generous threshold tolerates the same drop.
-        assert compare_reports(current, baseline, threshold=0.99) == []
 
     def test_missing_case_flagged(self):
         baseline = BenchReport.build([_result()], scale=0.25)
@@ -239,15 +178,15 @@ class TestCompare:
         assert regressions == ["fake: present in baseline but not run"]
 
     def test_wall_clock_check_is_opt_in(self):
-        # Ten times slower in wall-clock at an unchanged speedup ratio:
-        # only the opt-in wall check may fire.
-        baseline = BenchReport.build([_result(vec=0.01, scal=0.05)],
-                                     scale=0.25)
-        current = BenchReport.build([_result(vec=0.10, scal=0.50)],
-                                    scale=0.25)
+        # Ten times slower in wall-clock: only the opt-in wall check may
+        # fire, and a generous threshold tolerates it.
+        baseline = BenchReport.build([_result(best=0.01)], scale=0.25)
+        current = BenchReport.build([_result(best=0.10)], scale=0.25)
         assert compare_reports(current, baseline, wall=False) == []
         regressions = compare_reports(current, baseline, wall=True)
         assert any("exceeds baseline" in r for r in regressions)
+        assert compare_reports(current, baseline, threshold=10.0,
+                               wall=True) == []
 
     def test_bad_threshold_rejected(self):
         report = BenchReport.build([], scale=0.25)
@@ -261,7 +200,7 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         for case in BENCH_SUITE:
             assert case.name in out
-            assert f"[{case.layer}:" in out
+            assert f"[{case.layer}]" in out
 
     def test_nonpositive_scale_exits_config_error(self, capsys, tmp_path):
         code = main([
@@ -298,7 +237,7 @@ class TestBenchCLI:
         assert "signature_build" in out and "bench report written" in out
         report = load_report(out_path)
         assert report.schema_version == BENCH_SCHEMA_VERSION
-        assert report.speedup("signature_build") is not None
+        assert report.best_seconds("signature_build") > 0
 
     def test_missing_baseline_exits_config_error(self, capsys, tmp_path):
         code = main([
@@ -336,11 +275,11 @@ class TestBenchCLI:
         assert "no bench case" in capsys.readouterr().err
 
     def test_regression_exits_partial(self, capsys, tmp_path):
-        # An absurd floor no host can meet forces the regression path.
+        # The baseline names a case this run does not measure.
         baseline = tmp_path / "baseline.json"
         BenchReport.build(
-            [_result(name="signature_build")], scale=0.25,
-            min_speedups={"signature_build": 1e9},
+            [_result(name="signature_build"), _result(name="kmeans_sweep")],
+            scale=0.25,
         ).write(baseline)
         code = main([
             "bench", "--filter", "signature_build", "--reps", "1",
@@ -350,4 +289,31 @@ class TestBenchCLI:
         captured = capsys.readouterr()
         assert code == EXIT_PARTIAL
         assert "perf regression" in captured.err
-        assert "floor" in captured.err
+        assert "kmeans_sweep: present in baseline but not run" in captured.err
+
+    @pytest.mark.parametrize("payload,match", [
+        ([1, 2], "not a JSON object"),
+        ({"schema_version": 1, "cases": 5}, "schema version 1"),
+        ({"schema_version": BENCH_SCHEMA_VERSION, "cases": 5},
+         "'cases' is not a list"),
+        ({"schema_version": BENCH_SCHEMA_VERSION, "cases": [7]},
+         "case 0 is not an object"),
+        ({"schema_version": BENCH_SCHEMA_VERSION, "cases": [{"x": 1}]},
+         "case 0 is not an object with a string 'name'"),
+        ({"schema_version": BENCH_SCHEMA_VERSION, "cases": [],
+          "host": [1]}, "'host' must be an object"),
+    ], ids=["list", "v1-int-cases", "int-cases", "int-case", "nameless-case",
+            "list-host"])
+    def test_malformed_baseline_exits_config_error(self, capsys, tmp_path,
+                                                   payload, match):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(payload))
+        code = main([
+            "bench", "--filter", "signature_build", "--reps", "1",
+            "--compare", str(baseline),
+            "--out", str(tmp_path / "bench.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and match in err
+        assert "Traceback" not in err

@@ -1,10 +1,10 @@
-"""Differential tests for the engine's vectorized backends.
+"""Differential tests for the engine's array-native paths.
 
-The array-native trace builder and the vectorized functional profilers
-claim *bit*-identity with the retained scalar reference implementations
-— same flat arrays, same RNG draw order, same float accumulation order.
-Every comparison here is therefore exact (``==`` / ``array_equal``),
-never approximate.
+The array-native trace builder and the bincount functional profilers
+claim *bit*-identity with the reference builder and loops in
+``tests/reference/engine.py`` — same flat arrays, same RNG draw order,
+same float accumulation order.  Every comparison here is therefore
+exact (``==`` / ``array_equal``), never approximate.
 """
 
 import json
@@ -21,19 +21,13 @@ from repro.engine import (
     Trace,
     TraceBuilder,
     build_trace,
-    use_backend,
-)
-from repro.engine import backend as backend_mod
-from repro.engine.backend import (
-    BACKEND_ENV,
-    get_backend,
-    resolve_backend,
-    set_backend,
 )
 from repro.errors import TraceError
 from repro.harness import ExperimentRunner, ResultCache
 
 from .conftest import TEST_SCALE
+from .reference import Swap
+from .reference import engine as reference
 
 #: Derived arrays that must match in addition to the canonical fields.
 DERIVED_FIELDS = (
@@ -45,6 +39,13 @@ DERIVED_FIELDS = (
 )
 
 
+#: Coarse profilers by the name the error-path parametrisations use.
+COARSE_PROFILERS = {
+    "scalar": reference.profile_coarse_intervals,
+    "vectorized": FunctionalSimulator.profile_coarse_intervals,
+}
+
+
 def _assert_traces_identical(a: Trace, b: Trace) -> None:
     for field in TRACE_ARRAY_FIELDS + DERIVED_FIELDS:
         left, right = getattr(a, field), getattr(b, field)
@@ -54,72 +55,29 @@ def _assert_traces_identical(a: Trace, b: Trace) -> None:
     assert a.prologue_end == b.prologue_end
 
 
-class TestEngineBackendControl:
-    def test_default_is_vectorized(self):
-        assert get_backend() == "vectorized"
-        assert resolve_backend(None) == get_backend()
-
-    def test_set_and_restore(self):
-        previous = set_backend("scalar")
-        try:
-            assert get_backend() == "scalar"
-        finally:
-            set_backend(previous)
-
-    def test_use_backend_scopes_selection(self):
-        before = get_backend()
-        with use_backend("scalar"):
-            assert get_backend() == "scalar"
-        assert get_backend() == before
-
-    def test_unknown_backend_raises_trace_error(self, small_workload):
-        with pytest.raises(TraceError):
-            set_backend("turbo")
-        with pytest.raises(TraceError):
-            resolve_backend("numpy")
-        with pytest.raises(TraceError):
-            build_trace(small_workload, backend="bogus")
-
-    def test_environment_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.CONTROL, "_active", None)
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert get_backend() == "scalar"
-
-    def test_independent_of_analysis_backend(self):
-        from repro.analysis import backend as analysis_backend
-
-        with use_backend("scalar"):
-            assert analysis_backend.get_backend() == "vectorized"
-
-
 class TestTraceBuilderDifferential:
     def test_builders_bit_identical(self, small_workload):
-        scalar = TraceBuilder(small_workload).build(backend="scalar")
-        vector = TraceBuilder(small_workload).build(backend="vectorized")
+        scalar = reference.build_trace(small_workload)
+        vector = TraceBuilder(small_workload).build()
         _assert_traces_identical(scalar, vector)
 
     def test_segment_views_equal(self, small_workload):
-        scalar = TraceBuilder(small_workload).build(backend="scalar")
-        vector = TraceBuilder(small_workload).build(backend="vectorized")
+        scalar = reference.build_trace(small_workload)
+        vector = TraceBuilder(small_workload).build()
         assert scalar.segments == vector.segments
 
     @pytest.mark.parametrize("name", ["gzip", "vpr", "lucas"])
     def test_builders_bit_identical_across_workloads(self, name):
         # Jitter, noise and per-iteration scaling all vary by spec; the
         # RNG draw order is part of the trace's definition, so every
-        # spec shape must agree between backends.
+        # spec shape must agree with the reference builder.
         from repro.workloads import load_workload
 
         workload = load_workload(name, scale=0.05)
         _assert_traces_identical(
-            TraceBuilder(workload).build(backend="scalar"),
-            TraceBuilder(workload).build(backend="vectorized"),
+            reference.build_trace(workload),
+            TraceBuilder(workload).build(),
         )
-
-    def test_global_switch_drives_builder(self, small_workload):
-        with use_backend("scalar"):
-            scalar = build_trace(small_workload)
-        _assert_traces_identical(scalar, build_trace(small_workload))
 
 
 class TestTraceArrayConstruction:
@@ -149,7 +107,7 @@ class TestTraceArrayConstruction:
             Trace(small_trace.workload, arrays=arrays)
 
     def test_lazy_views_memoised(self, small_workload):
-        trace = TraceBuilder(small_workload).build(backend="vectorized")
+        trace = TraceBuilder(small_workload).build()
         seg = trace.segment_at(3)
         assert trace.segment_at(3) is seg
         assert trace.segments[3] is seg
@@ -157,8 +115,8 @@ class TestTraceArrayConstruction:
 
 class TestFunctionalDifferential:
     def test_run_bit_identical(self, small_functional):
-        scalar = small_functional.run(backend="scalar")
-        vector = small_functional.run(backend="vectorized")
+        scalar = reference.run(small_functional)
+        vector = small_functional.run()
         assert scalar.total_instructions == vector.total_instructions
         assert np.array_equal(scalar.block_counts, vector.block_counts)
         assert np.array_equal(
@@ -166,10 +124,8 @@ class TestFunctionalDifferential:
         )
 
     def test_coarse_profile_bit_identical(self, small_functional):
-        scalar = small_functional.profile_coarse_intervals(backend="scalar")
-        vector = small_functional.profile_coarse_intervals(
-            backend="vectorized"
-        )
+        scalar = reference.profile_coarse_intervals(small_functional)
+        vector = small_functional.profile_coarse_intervals()
         assert np.array_equal(scalar.starts, vector.starts)
         assert np.array_equal(scalar.instructions, vector.instructions)
         assert (scalar.bbv == vector.bbv).all()
@@ -178,48 +134,44 @@ class TestFunctionalDifferential:
     def test_coarse_profile_custom_bounds(self, small_functional,
                                           small_trace):
         bounds = small_trace.outer_bounds()[2:7]
-        scalar = small_functional.profile_coarse_intervals(
-            n_segments=7, bounds=bounds, backend="scalar"
+        scalar = reference.profile_coarse_intervals(
+            small_functional, n_segments=7, bounds=bounds
         )
         vector = small_functional.profile_coarse_intervals(
-            n_segments=7, bounds=bounds, backend="vectorized"
+            n_segments=7, bounds=bounds
         )
         assert (scalar.bbv == vector.bbv).all()
         assert (scalar.segment_bbvs == vector.segment_bbvs).all()
 
     def test_structure_profile_identical(self, small_functional):
-        assert small_functional.profile_structures(backend="scalar") == \
-            small_functional.profile_structures(backend="vectorized")
+        assert reference.profile_structures(small_functional) == \
+            small_functional.profile_structures()
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_empty_bounds_error_matches(self, small_functional, backend):
+    @pytest.mark.parametrize("which", ["scalar", "vectorized"])
+    def test_empty_bounds_error_matches(self, small_functional, which):
+        profile = COARSE_PROFILERS[which]
         bounds = np.array([[100, 100]], dtype=np.int64)
         with pytest.raises(TraceError, match="instance 0: empty bounds"):
-            small_functional.profile_coarse_intervals(
-                bounds=bounds, backend=backend
-            )
+            profile(small_functional, bounds=bounds)
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("which", ["scalar", "vectorized"])
     def test_bad_clip_error_matches(self, small_functional, small_trace,
-                                    backend):
+                                    which):
+        profile = COARSE_PROFILERS[which]
         total = small_trace.total_instructions
         bounds = np.array([[0, 50], [10, total + 1]], dtype=np.int64)
         with pytest.raises(TraceError, match="bad clip range"):
-            small_functional.profile_coarse_intervals(
-                bounds=bounds, backend=backend
-            )
+            profile(small_functional, bounds=bounds)
 
     def test_first_offending_instance_reported(self, small_functional,
                                                small_trace):
-        # Two bad instances: both backends must report the *first* one.
+        # Two bad instances: both profilers must report the *first* one.
         total = small_trace.total_instructions
         bounds = np.array([[0, 50], [7, 7], [10, total + 1]],
                           dtype=np.int64)
-        for backend in ("scalar", "vectorized"):
+        for profile in COARSE_PROFILERS.values():
             with pytest.raises(TraceError, match="instance 1"):
-                small_functional.profile_coarse_intervals(
-                    bounds=bounds, backend=backend
-                )
+                profile(small_functional, bounds=bounds)
 
 
 class TestCoarseProfileProperties:
@@ -245,11 +197,11 @@ class TestCoarseProfileProperties:
         if len(edges) < 2:
             return
         bounds = np.stack([edges[:-1], edges[1:]], axis=1)
-        scalar = shared_functional.profile_coarse_intervals(
-            n_segments=n_segments, bounds=bounds, backend="scalar"
+        scalar = reference.profile_coarse_intervals(
+            shared_functional, n_segments=n_segments, bounds=bounds
         )
         vector = shared_functional.profile_coarse_intervals(
-            n_segments=n_segments, bounds=bounds, backend="vectorized"
+            n_segments=n_segments, bounds=bounds
         )
         assert (scalar.bbv == vector.bbv).all()
         assert (scalar.segment_bbvs == vector.segment_bbvs).all()
@@ -265,8 +217,8 @@ class TestCoarseProfileProperties:
         spec = replace(spec, seed=spec.seed + seed_bump)
         workload = generate_workload(spec)
         _assert_traces_identical(
-            TraceBuilder(workload).build(backend="scalar"),
-            TraceBuilder(workload).build(backend="vectorized"),
+            reference.build_trace(workload),
+            TraceBuilder(workload).build(),
         )
 
 
@@ -281,7 +233,8 @@ def shared_functional():
 
 class TestEndToEndIdentity:
     """The whole pipeline — plans, CPI deviations, cache digests — must
-    not depend on which engine backend produced the trace."""
+    not change when the engine's trace builder and profilers are swapped
+    for the reference builder and loops."""
 
     def _run(self, tmp_path, which):
         runner = ExperimentRunner(
@@ -290,10 +243,19 @@ class TestEndToEndIdentity:
             methods=("simpoint", "coasts"),
             diagnostics=False,
         )
-        with use_backend(which):
-            run = runner.run_benchmark("gzip", CONFIG_A)
+        run = runner.run_benchmark("gzip", CONFIG_A)
         return json.dumps(run.to_dict(), sort_keys=True)
 
-    def test_pipeline_identical_across_backends(self, tmp_path):
-        assert self._run(tmp_path, "scalar") == \
-            self._run(tmp_path, "vectorized")
+    def test_pipeline_identical_across_backends(self, tmp_path, monkeypatch):
+        vectorized = self._run(tmp_path, "vectorized")
+        swap = Swap(monkeypatch)
+        reference.install(swap)
+        scalar = self._run(tmp_path, "scalar")
+        # The references really ran: the runner built its trace and
+        # COASTS took its coarse and structure profiles through the
+        # oracle (no pipeline stage calls FunctionalSimulator.run).
+        for name in ("build_trace",
+                     "FunctionalSimulator.profile_coarse_intervals",
+                     "FunctionalSimulator.profile_structures"):
+            assert swap.calls[name] > 0, name
+        assert scalar == vectorized

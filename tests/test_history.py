@@ -20,7 +20,7 @@ from repro.obs.manifest import RunManifest
 
 
 def make_record(cpi_dev=0.01, config_digest="cfg0", scale=0.04,
-                speedups=None, kind="suite", created="2026-01-01T00:00:00"):
+                seconds=None, kind="suite", created="2026-01-01T00:00:00"):
     return HistoryRecord(
         kind=kind,
         created=created,
@@ -42,7 +42,7 @@ def make_record(cpi_dev=0.01, config_digest="cfg0", scale=0.04,
             },
         },
         counters={"repro_simulated_instructions_total": 1000.0},
-        speedups=dict(speedups or {}),
+        seconds=dict(seconds or {}),
     ).seal()
 
 
@@ -56,7 +56,7 @@ class TestHistoryRecord:
         assert make_record(cpi_dev=0.02).run_id != a.run_id
 
     def test_dict_round_trip(self):
-        record = make_record(speedups={"kmeans": 12.0})
+        record = make_record(seconds={"kmeans": 0.012})
         rebuilt = HistoryRecord.from_dict(
             json.loads(json.dumps(record.to_dict()))
         )
@@ -175,14 +175,25 @@ class TestDiff:
         diff = diff_records(make_record(), b.seal())
         assert any("mcf" in note and "first" in note for note in diff.notes)
 
-    def test_speedup_drop_regresses(self):
-        diff = diff_records(make_record(speedups={"kmeans": 10.0}),
-                            make_record(speedups={"kmeans": 8.0}))
-        assert [e.name for e in diff.regressed] == ["speedup:kmeans"]
-        # within the 10% band: fine
-        diff = diff_records(make_record(speedups={"kmeans": 10.0}),
-                            make_record(speedups={"kmeans": 9.5}))
-        assert diff.verdict == "PASS"
+    def test_old_bench_record_with_speedups_diffs_clean(self, capsys):
+        # A line written before bench records dropped their speedup
+        # ratios must still load and diff against a new record.
+        old = make_record(kind="bench", seconds={"kmeans": 0.5}).to_dict()
+        old["speedups"] = {"kmeans": 40.0}
+        old["run_id"] = "0ld0ld0ld0ld"
+        store = RunHistory()
+        store.path.parent.mkdir(parents=True, exist_ok=True)
+        store.path.write_text(json.dumps(old) + "\n")
+        store.append(make_record(kind="bench", seconds={"kmeans": 0.6},
+                                 created="2026-02-01T00:00:00"))
+        loaded = store.load()[0]
+        assert loaded.run_id == "0ld0ld0ld0ld"
+        assert not hasattr(loaded, "speedups")
+        code = main(["obs", "diff", "prev", "last", "--all"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict: PASS" in out
+        assert "REGRESSED" not in out and "speedup" not in out
 
     def test_counters_are_informational(self):
         a = make_record()
@@ -198,19 +209,14 @@ class TestDiff:
     def test_bench_seconds_kept_for_every_case_and_never_gated(self):
         def report(seconds):
             return BenchReport(
-                schema_version=1, host={"created": "t"}, scale=0.04,
+                schema_version=2, host={"created": "t"}, scale=0.04,
                 cases=[
-                    {"name": "kmeans", "speedup": 4.0, "timings": {
-                        "vectorized": {"best_seconds": 0.5},
-                        "scalar": {"best_seconds": 2.0}}},
-                    # Single-backend case: no speedup, seconds only.
-                    {"name": "detailed_timing", "speedup": None, "timings": {
-                        "vectorized": {"best_seconds": seconds}}},
+                    {"name": "kmeans", "best_seconds": 0.5},
+                    {"name": "detailed_timing", "best_seconds": seconds},
                 ],
             )
 
         a = record_from_bench(report(0.30))
-        assert a.speedups == {"kmeans": 4.0}
         assert a.seconds == {"kmeans": 0.5, "detailed_timing": 0.30}
         assert a.benchmarks == ["detailed_timing", "kmeans"]
         assert HistoryRecord.from_dict(a.to_dict()).seconds == a.seconds

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.config import CONFIG_A, CONFIG_B
-from repro.detailed import OoOSimulator, TimingSimulator
+from repro.detailed import TimingSimulator
 from repro.errors import SimulationError
+
+from .reference.ooo import OoOSimulator
 
 
 @pytest.fixture(scope="module")

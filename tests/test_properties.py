@@ -137,7 +137,7 @@ class TestClusteringProperties:
 
 
 class TestKMeansInvariants:
-    """Lloyd-iteration invariants over the backend-switchable kernels."""
+    """Lloyd-iteration invariants of the k-means kernels."""
 
     @given(
         n=st.integers(2, 50),

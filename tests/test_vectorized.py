@@ -1,10 +1,10 @@
-"""Differential tests: vectorized kernels against the scalar reference.
+"""Differential tests: the analysis kernels against the reference loops.
 
 The contract is **bit-identity**, not approximate equality: every
 assertion here uses ``np.array_equal`` / ``==`` on floats.  The
-vectorized kernels are built exclusively from numpy operations whose
-per-element rounding matches the scalar loops (see
-:mod:`repro.analysis.backend`), so any drift is a real kernel bug, not
+production kernels are built exclusively from numpy operations whose
+per-element rounding matches the loops in ``tests/reference/analysis.py``
+(see :mod:`repro.analysis`), so any drift is a real kernel bug, not
 tolerable noise.
 """
 
@@ -12,28 +12,24 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    BACKEND_ENV,
-    BACKENDS,
     assign_points,
     bic_score,
     cluster_with_bic,
     concat_signatures,
     earliest_member,
-    get_backend,
     kmeans,
     nearest_to_centroid,
     normalize_rows,
     project_bbvs,
-    resolve_backend,
-    set_backend,
     squared_distances,
-    use_backend,
 )
-from repro.analysis import backend as backend_mod
 from repro.config import SamplingConfig
 from repro.errors import ClusteringError
 from repro.sampling.coasts import Coasts
 from repro.sampling.multilevel import MultiLevelSampler
+
+from .reference import Swap
+from .reference import analysis as reference
 
 #: (n points, dims, k) shapes covering the awkward corners: k > n,
 #: a single point, a single cluster, and production-like sizes.
@@ -66,8 +62,8 @@ class TestDistanceKernels:
     def test_squared_distances_bit_identical(self, n, d, k, seed):
         data = _dataset(n, d, seed)
         centers = _dataset(k, d, seed + 100)
-        fast = squared_distances(data, centers, backend="vectorized")
-        slow = squared_distances(data, centers, backend="scalar")
+        fast = squared_distances(data, centers)
+        slow = reference.squared_distances(data, centers)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("n,d,k", SHAPES)
@@ -75,17 +71,17 @@ class TestDistanceKernels:
     def test_assign_points_bit_identical(self, n, d, k, seed):
         data = _dataset(n, d, seed)
         centers = _dataset(k, d, seed + 100)
-        fast_labels, fast_best = assign_points(data, centers, backend="vectorized")
-        slow_labels, slow_best = assign_points(data, centers, backend="scalar")
+        fast_labels, fast_best = assign_points(data, centers)
+        slow_labels, slow_best = reference.assign_points(data, centers)
         assert np.array_equal(fast_labels, slow_labels)
         assert np.array_equal(fast_best, slow_best)
 
     def test_assign_points_tie_break_matches_argmin(self):
-        # Two identical centers: both backends must pick the first.
+        # Two identical centers: kernel and reference must pick the first.
         data = np.array([[0.5, 0.5], [1.0, 0.0]])
         centers = np.array([[0.5, 0.5], [0.5, 0.5]])
-        for backend in BACKENDS:
-            labels, _ = assign_points(data, centers, backend=backend)
+        for assign in (assign_points, reference.assign_points):
+            labels, _ = assign(data, centers)
             assert np.array_equal(labels, [0, 0])
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -94,8 +90,8 @@ class TestDistanceKernels:
         centroids = _dataset(5, 6, seed + 7)
         # Labels leave cluster 3 empty so the -1 branch is exercised.
         labels = np.random.default_rng(seed).integers(0, 3, size=40)
-        fast = nearest_to_centroid(data, labels, centroids, backend="vectorized")
-        slow = nearest_to_centroid(data, labels, centroids, backend="scalar")
+        fast = nearest_to_centroid(data, labels, centroids)
+        slow = reference.nearest_to_centroid(data, labels, centroids)
         assert np.array_equal(fast, slow)
         assert fast[3] == -1 and fast[4] == -1
 
@@ -103,14 +99,13 @@ class TestDistanceKernels:
     def test_earliest_member_bit_identical(self, seed):
         rng = np.random.default_rng(seed)
         labels = rng.integers(-1, 6, size=50)  # includes invalid -1 labels
-        fast = earliest_member(labels, 6, backend="vectorized")
-        slow = earliest_member(labels, 6, backend="scalar")
+        fast = earliest_member(labels, 6)
+        slow = reference.earliest_member(labels, 6)
         assert np.array_equal(fast, slow)
 
     def test_earliest_member_empty_labels(self):
-        for backend in BACKENDS:
-            picks = earliest_member(np.array([], dtype=np.int64), 3,
-                                    backend=backend)
+        for earliest in (earliest_member, reference.earliest_member):
+            picks = earliest(np.array([], dtype=np.int64), 3)
             assert np.array_equal(picks, [-1, -1, -1])
 
     def test_blocking_does_not_change_results(self, monkeypatch):
@@ -120,16 +115,17 @@ class TestDistanceKernels:
 
         data = _dataset(64, 7, 3)
         centers = _dataset(5, 7, 4)
-        whole = squared_distances(data, centers, backend="vectorized")
+        whole = squared_distances(data, centers)
         monkeypatch.setattr(distance_mod, "_BLOCK_ELEMENTS", 16)
-        blocked = squared_distances(data, centers, backend="vectorized")
-        labels, best = assign_points(data, centers, backend="vectorized")
+        blocked = squared_distances(data, centers)
+        labels, best = assign_points(data, centers)
         assert np.array_equal(whole, blocked)
         assert np.array_equal(best, whole[np.arange(64), labels])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ClusteringError):
-            squared_distances(np.zeros((3, 2)), np.zeros((2, 5)))
+        for distances in (squared_distances, reference.squared_distances):
+            with pytest.raises(ClusteringError):
+                distances(np.zeros((3, 2)), np.zeros((2, 5)))
 
 
 class TestKMeansDifferential:
@@ -137,8 +133,8 @@ class TestKMeansDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kmeans_bit_identical(self, n, d, k, seed):
         data = _dataset(n, d, seed)
-        fast = kmeans(data, k, seed=seed, n_seeds=2, backend="vectorized")
-        slow = kmeans(data, k, seed=seed, n_seeds=2, backend="scalar")
+        fast = kmeans(data, k, seed=seed, n_seeds=2)
+        slow = reference.kmeans(data, k, seed=seed, n_seeds=2)
         assert np.array_equal(fast.labels, slow.labels)
         assert np.array_equal(fast.centroids, slow.centroids)
         assert fast.inertia == slow.inertia
@@ -147,34 +143,31 @@ class TestKMeansDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kmeans_on_duplicates_bit_identical(self, seed):
         data = _dataset_with_duplicates(24, 4, seed)
-        fast = kmeans(data, 5, seed=seed, n_seeds=2, backend="vectorized")
-        slow = kmeans(data, 5, seed=seed, n_seeds=2, backend="scalar")
+        fast = kmeans(data, 5, seed=seed, n_seeds=2)
+        slow = reference.kmeans(data, 5, seed=seed, n_seeds=2)
         assert np.array_equal(fast.labels, slow.labels)
         assert np.array_equal(fast.centroids, slow.centroids)
         assert fast.inertia == slow.inertia
 
     def test_kmeans_all_identical_points(self):
         data = np.full((10, 3), 0.25)
-        for backend in BACKENDS:
-            result = kmeans(data, 4, seed=0, n_seeds=1, backend=backend)
+        for cluster in (kmeans, reference.kmeans):
+            result = cluster(data, 4, seed=0, n_seeds=1)
             assert result.inertia == 0.0
             assert not np.isnan(result.centroids).any()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bic_scores_bit_identical(self, seed):
         data = _dataset(60, 5, seed)
-        result = kmeans(data, 4, seed=seed, n_seeds=1, backend="vectorized")
-        assert bic_score(data, result, backend="vectorized") == \
-            bic_score(data, result, backend="scalar")
+        result = kmeans(data, 4, seed=seed, n_seeds=1)
+        assert bic_score(data, result) == reference.bic_score(data, result)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cluster_with_bic_bit_identical(self, seed):
         data = _dataset(50, 6, seed)
-        fast, fast_scores = cluster_with_bic(
-            data, kmax=5, seed=seed, n_seeds=2, backend="vectorized"
-        )
-        slow, slow_scores = cluster_with_bic(
-            data, kmax=5, seed=seed, n_seeds=2, backend="scalar"
+        fast, fast_scores = cluster_with_bic(data, kmax=5, seed=seed, n_seeds=2)
+        slow, slow_scores = reference.cluster_with_bic(
+            data, kmax=5, seed=seed, n_seeds=2
         )
         assert fast_scores == slow_scores
         assert fast.k == slow.k
@@ -187,89 +180,30 @@ class TestSignatureDifferential:
     def test_normalize_rows_bit_identical(self, seed):
         data = _dataset(20, 8, seed)
         data[3] = 0.0  # a zero row must stay zero on both paths
-        fast = normalize_rows(data, backend="vectorized")
-        slow = normalize_rows(data, backend="scalar")
+        fast = normalize_rows(data)
+        slow = reference.normalize_rows(data)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast[3], np.zeros(8))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_project_bbvs_bit_identical(self, seed):
         raw = _dataset(30, 64, seed)
-        fast = project_bbvs(raw, 10, seed=seed, backend="vectorized")
-        slow = project_bbvs(raw, 10, seed=seed, backend="scalar")
+        fast = project_bbvs(raw, 10, seed=seed)
+        slow = reference.project_bbvs(raw, 10, seed=seed)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_concat_signatures_bit_identical(self, seed):
         segments = _dataset(12, 4 * 32, seed).reshape(12, 4, 32)
-        fast = concat_signatures(segments, dim=6, seed=seed,
-                                 backend="vectorized")
-        slow = concat_signatures(segments, dim=6, seed=seed,
-                                 backend="scalar")
+        fast = concat_signatures(segments, dim=6, seed=seed)
+        slow = reference.concat_signatures(segments, dim=6, seed=seed)
         assert fast.shape == (12, 24)
         assert np.array_equal(fast, slow)
 
 
-class TestBackendSelection:
-    def test_default_is_vectorized(self):
-        assert get_backend() == "vectorized"
-        assert resolve_backend(None) == get_backend()
-
-    def test_set_backend_returns_previous(self):
-        previous = set_backend("scalar")
-        try:
-            assert previous == "vectorized"
-            assert get_backend() == "scalar"
-        finally:
-            set_backend(previous)
-
-    def test_use_backend_restores_on_exit(self):
-        before = get_backend()
-        with use_backend("scalar"):
-            assert get_backend() == "scalar"
-        assert get_backend() == before
-
-    def test_use_backend_restores_on_error(self):
-        before = get_backend()
-        with pytest.raises(RuntimeError):
-            with use_backend("scalar"):
-                raise RuntimeError("boom")
-        assert get_backend() == before
-
-    def test_explicit_argument_beats_global(self):
-        data = _dataset(10, 3, 0)
-        with use_backend("scalar"):
-            # Still runs (and validates) the requested backend.
-            assert resolve_backend("vectorized") == "vectorized"
-            result = kmeans(data, 2, seed=0, n_seeds=1, backend="vectorized")
-        assert result.k == 2
-
-    def test_environment_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.CONTROL, "_active", None)
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert get_backend() == "scalar"
-
-    def test_bad_environment_variable_rejected(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.CONTROL, "_active", None)
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
-        with pytest.raises(ClusteringError):
-            get_backend()
-
-    @pytest.mark.parametrize("bad", ["", "Vectorized", "numpy", "turbo"])
-    def test_unknown_backend_rejected_everywhere(self, bad):
-        with pytest.raises(ClusteringError):
-            set_backend(bad)
-        with pytest.raises(ClusteringError):
-            resolve_backend(bad)
-        with pytest.raises(ClusteringError):
-            with use_backend(bad):
-                pass
-        with pytest.raises(ClusteringError):
-            kmeans(np.zeros((3, 2)), 2, backend=bad)
-
-
 class TestEndToEndPlanIdentity:
-    """Whole sampling plans must not depend on the backend."""
+    """Whole sampling plans must not change when every analysis kernel
+    is swapped for its reference loop."""
 
     @pytest.fixture(scope="class")
     def plan_sampling(self):
@@ -282,21 +216,25 @@ class TestEndToEndPlanIdentity:
             warmup_instructions=2000,
         )
 
-    def _plans(self, trace, sampling, backend):
-        with use_backend(backend):
-            coarse = Coasts(sampling).sample(trace, benchmark="gzip")
-            multi = MultiLevelSampler(sampling).sample(
-                trace, benchmark="gzip", coarse_plan=coarse
-            )
+    def _plans(self, trace, sampling):
+        coarse = Coasts(sampling).sample(trace, benchmark="gzip")
+        multi = MultiLevelSampler(sampling).sample(
+            trace, benchmark="gzip", coarse_plan=coarse
+        )
         return coarse, multi
 
-    def test_two_level_plans_identical(self, small_trace, plan_sampling):
-        fast_coarse, fast_multi = self._plans(
-            small_trace, plan_sampling, "vectorized"
-        )
-        slow_coarse, slow_multi = self._plans(
-            small_trace, plan_sampling, "scalar"
-        )
+    def test_two_level_plans_identical(self, small_trace, plan_sampling,
+                                       monkeypatch):
+        fast_coarse, fast_multi = self._plans(small_trace, plan_sampling)
+        swap = Swap(monkeypatch)
+        reference.install(swap)
+        slow_coarse, slow_multi = self._plans(small_trace, plan_sampling)
+        # The references really ran: the COASTS signature build, its
+        # BIC sweep (and the k-means and distance loops under it) and
+        # the earliest-member pick all went through the oracle.
+        for name in ("concat_signatures", "cluster_with_bic",
+                     "earliest_member"):
+            assert swap.calls[name] > 0, name
         assert fast_coarse.points == slow_coarse.points
         assert fast_multi.points == slow_multi.points
         assert fast_multi.n_clusters == slow_multi.n_clusters
