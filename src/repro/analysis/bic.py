@@ -19,7 +19,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ..errors import ClusteringError
-from .kmeans import KMeansResult, kmeans
+from .kmeans import KMeansResult, kmeans_sweep
 
 #: Floor on the fitted variance, guarding against degenerate clusterings.
 _VARIANCE_FLOOR = 1e-12
@@ -78,7 +78,9 @@ def cluster_with_bic(
     """Cluster for k = 1..kmax and return the BIC-selected clustering.
 
     Returns ``(best_result, scores)`` where *scores* maps each tried k to
-    its BIC.  ``ks`` overrides the candidate list (ablations).
+    its BIC.  ``ks`` overrides the candidate list (ablations).  The
+    sweep is one :func:`~repro.analysis.kmeans.kmeans_sweep`, so each
+    seed's k-means++ seeding is drawn once and shared by every k.
     """
     data = np.asarray(data, dtype=np.float64)
     if kmax <= 0:
@@ -88,11 +90,7 @@ def cluster_with_bic(
     if not candidates:
         raise ClusteringError("no candidate k values")
 
-    results: Dict[int, KMeansResult] = {}
-    scores: Dict[int, float] = {}
-    for k in candidates:
-        result = kmeans(data, k, seed=seed, n_seeds=n_seeds)
-        results[k] = result
-        scores[k] = bic_score(data, result)
+    results = kmeans_sweep(data, candidates, seed=seed, n_seeds=n_seeds)
+    scores = {k: bic_score(data, results[k]) for k in candidates}
     chosen = select_k(scores, threshold=threshold)
     return results[chosen], scores

@@ -4,22 +4,29 @@ A from-scratch implementation so the library has no dependency beyond numpy;
 SimPoint's phase classification is plain Euclidean k-means over projected
 BBVs, run for several random seeds per k with the best inertia kept.
 
-Both hot kernels — the k-means++ seeding sweep and the Lloyd iteration —
-are batched, and bit-identical on labels, centroids and inertia to the
+The unit of work is the BIC sweep (:func:`kmeans_sweep`): each seed's
+random stream is drawn once, seeding ``max(ks)`` centres, and every k
+starts Lloyd from the first k of them.  k-means++ is sequential and draws
+the same stream whatever k is, so those k centres are bit for bit the
+ones a k-only seeding picks, and the sweep equals running
+:func:`kmeans` per k — which is the sweep's one-k case.
+
+Both hot kernels — the k-means++ seeding and the Lloyd iteration — are
+batched, and bit-identical on labels, centroids and inertia to the
 per-point loops in ``tests/reference/analysis.py``, drawing the same
 random stream: they only use reductions whose rounding matches the loops
-(innermost-axis pairwise sums, index-order ``np.add.at`` accumulation).
-The assignment step's BLAS product only shortlists candidate centres
-under a proven rounding bound; near ties are re-decided and every
-distance recomputed exactly (:func:`~repro.analysis.distance.assign_points`),
-so BLAS never changes a bit.  ``tests/test_vectorized.py`` pins this
-across a seed x shape matrix.
+(innermost-axis pairwise sums, index-order ``np.bincount``
+accumulation).  The assignment step's BLAS product only shortlists
+candidate centres under a proven rounding bound; near ties are re-decided
+and every distance recomputed exactly
+(:func:`~repro.analysis.distance.assign_points`), so BLAS never changes a
+bit.  ``tests/test_vectorized.py`` pins this across a seed x shape matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -144,10 +151,15 @@ def _point_distances(data: np.ndarray, center: np.ndarray) -> np.ndarray:
 def _kmeanspp_init(
     data: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """k-means++ seeding.
+    """k-means++ seeding of *k* centres.
 
     The seeding probabilities are bit-identical to a per-point loop's,
     so the draws from *rng*, and hence the chosen seeds, match it too.
+    Each centre depends only on the ones before it and the draws so
+    far, so the first j rows of a k-centre seeding are exactly a
+    j-centre seeding from the same stream (j <= k); when every point
+    already coincides with a centre (``total <= 0``) one draw fills all
+    remaining rows, which keeps that prefix property too.
     """
     n = len(data)
     centroids = np.empty((k, data.shape[1]), dtype=np.float64)
@@ -173,15 +185,18 @@ def _update_centroids(
     """One Lloyd update: member means (empty clusters keep their centroid).
 
     Returns ``(new_centroids, shift)`` with *shift* the largest squared
-    centroid movement.  Member sums accumulate in point order
-    (``np.add.at`` adds sequentially in index order), exactly as a
-    per-point loop adds them, so the means — and everything
-    downstream — are bit-identical to it.
+    centroid movement.  Member sums come from one weighted
+    ``np.bincount`` over the flattened ``(label, dim)`` cells; bincount
+    adds each cell's entries in index order, which is point order,
+    exactly as a per-point loop adds them, so the means — and
+    everything downstream — are bit-identical to it.
     """
     k, d = centroids.shape
     new_centroids = centroids.copy()
-    sums = np.zeros((k, d), dtype=np.float64)
-    np.add.at(sums, labels, data)
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(
+        cells, weights=data.ravel(), minlength=k * d
+    ).reshape(k, d)
     counts = np.bincount(labels, minlength=k)
     occupied = counts > 0
     new_centroids[occupied] = sums[occupied] / counts[occupied, None]
@@ -220,6 +235,46 @@ def _lloyd(
     )
 
 
+def kmeans_sweep(
+    data: np.ndarray,
+    ks: Iterable[int],
+    seed: int = 0,
+    n_seeds: int = 5,
+    max_iterations: int = 100,
+    tolerance: float = 1e-10,
+) -> Dict[int, KMeansResult]:
+    """Cluster *data* for every k in *ks*, best of *n_seeds* runs each.
+
+    Returns the kept clustering per k, keyed by k after clamping to the
+    number of points.  Seed ``attempt`` draws from
+    ``default_rng(seed + attempt * 7919)`` once, seeding ``max(ks)``
+    centres; each k runs Lloyd from the first k of them, which are the
+    centres a k-only seeding of that stream would pick.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2 or len(data) == 0:
+        raise ClusteringError("kmeans expects a non-empty 2-D array")
+    ks = list(ks)
+    if not ks:
+        raise ClusteringError("no k values to cluster for")
+    if min(ks) <= 0:
+        raise ClusteringError("k must be positive")
+    if n_seeds <= 0:
+        raise ClusteringError("n_seeds must be positive")
+    ks = sorted({min(k, len(data)) for k in ks})
+
+    best: Dict[int, KMeansResult] = {}
+    for attempt in range(n_seeds):
+        rng = np.random.default_rng(seed + attempt * 7919)
+        seeding = _kmeanspp_init(data, ks[-1], rng)
+        for k in ks:
+            result = _lloyd(data, seeding[:k], max_iterations, tolerance)
+            kept = best.get(k)
+            if kept is None or result.inertia < kept.inertia:
+                best[k] = result
+    return best
+
+
 def kmeans(
     data: np.ndarray,
     k: int,
@@ -230,23 +285,11 @@ def kmeans(
 ) -> KMeansResult:
     """Cluster *data* into *k* clusters, keeping the best of *n_seeds* runs.
 
-    ``k`` is clamped to the number of points available.
+    ``k`` is clamped to the number of points available.  This is the
+    one-k case of :func:`kmeans_sweep`.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or len(data) == 0:
-        raise ClusteringError("kmeans expects a non-empty 2-D array")
-    if k <= 0:
-        raise ClusteringError("k must be positive")
-    if n_seeds <= 0:
-        raise ClusteringError("n_seeds must be positive")
-    k = min(k, len(data))
-
-    best: KMeansResult | None = None
-    for attempt in range(n_seeds):
-        rng = np.random.default_rng(seed + attempt * 7919)
-        centroids = _kmeanspp_init(data, k, rng)
-        result = _lloyd(data, centroids, max_iterations, tolerance)
-        if best is None or result.inertia < best.inertia:
-            best = result
-    assert best is not None
-    return best
+    (result,) = kmeans_sweep(
+        data, [k], seed=seed, n_seeds=n_seeds,
+        max_iterations=max_iterations, tolerance=tolerance,
+    ).values()
+    return result

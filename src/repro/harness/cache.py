@@ -160,15 +160,13 @@ class ResultCache:
             prefix=path.stem + ".", suffix=".tmp", dir=self.directory
         )
         try:
+            # One json.dumps call: json.dump to a file always takes the
+            # pure-Python encoder, dumps the C one (same text).
+            text = json.dumps(
+                {"version": CACHE_SCHEMA_VERSION, "key": key, "payload": payload}
+            )
             with os.fdopen(fd, "w") as handle:
-                json.dump(
-                    {
-                        "version": CACHE_SCHEMA_VERSION,
-                        "key": key,
-                        "payload": payload,
-                    },
-                    handle,
-                )
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -258,7 +258,7 @@ def _tree_lines(
         return
     connector = "" if not prefix and depth == 0 else ("`- " if last else "|- ")
     label_bits = []
-    for key in ("method", "benchmark", "config", "attempt"):
+    for key in ("method", "benchmark", "config", "attempt", "phase"):
         if key in span.attributes:
             label_bits.append(f"{key}={span.attributes[key]}")
     status = "" if span.status == "ok" else f"  [{span.status}: {span.error}]"

@@ -17,6 +17,7 @@ Section III-B) — visible in our Table II reproduction too.
 from __future__ import annotations
 
 import copy
+from contextlib import nullcontext
 from typing import List, Optional
 
 from ..config import DEFAULT_SAMPLING, SamplingConfig
@@ -78,12 +79,25 @@ class MultiLevelSampler:
             trace, metrics=self.obs.metrics if self.obs is not None else None
         )
 
-        points: List[SimulationPoint] = []
-        for point in coarse_plan.points:
-            if point.size <= self.config.resample_threshold:
-                points.append(point)
-                continue
-            points.append(self._resample(functional, point, benchmark))
+        span_ctx = (
+            self.obs.tracer.span(
+                "sampling", method=self.method_name, benchmark=benchmark
+            )
+            if self.obs is not None else nullcontext()
+        )
+        with span_ctx as span:
+            points: List[SimulationPoint] = []
+            for point in coarse_plan.points:
+                if point.size <= self.config.resample_threshold:
+                    points.append(point)
+                    continue
+                points.append(self._resample(functional, point, benchmark))
+
+            if span is not None:
+                span.set(
+                    resampled_points=sum(1 for p in points if p.is_resampled),
+                    n_clusters=coarse_plan.n_clusters,
+                )
 
         # The second level re-samples *within* phases, so the phase
         # structure — weights, members, cluster quality — is the coarse
@@ -98,12 +112,6 @@ class MultiLevelSampler:
                 if row is not None and point.is_resampled:
                     row.resampled = True
             self.last_diagnostics = diag
-            if self.obs is not None:
-                self.obs.tracer.start_span(
-                    "sampling", method=self.method_name, benchmark=benchmark,
-                    resampled_points=sum(1 for p in points if p.is_resampled),
-                    n_clusters=coarse_plan.n_clusters,
-                ).end()
 
         return SamplingPlan(
             method=self.method_name,
@@ -120,13 +128,23 @@ class MultiLevelSampler:
         point: SimulationPoint,
         benchmark: str,
     ) -> SimulationPoint:
-        """Second-level sampling of one oversized coarse point."""
-        profile = functional.profile_fixed_intervals(
-            self.fine.interval_size, start=point.start, end=point.end
+        """Second-level sampling of one oversized coarse point, in its
+        own ``resample`` span (phase, size, k chosen) when traced."""
+        span_ctx = (
+            self.obs.tracer.span(
+                "resample", phase=point.phase, size=point.size
+            )
+            if self.obs is not None else nullcontext()
         )
-        fine_plan = self.fine.sample(
-            profile, benchmark=f"{benchmark}:{point.phase}"
-        )
+        with span_ctx as span:
+            profile = functional.profile_fixed_intervals(
+                self.fine.interval_size, start=point.start, end=point.end
+            )
+            fine_plan = self.fine.sample(
+                profile, benchmark=f"{benchmark}:{point.phase}"
+            )
+            if span is not None:
+                span.set(k=fine_plan.n_clusters)
         if self.obs is not None:
             self.obs.metrics.counter(CLUSTER_SWEEPS, level="inpoint").inc()
         children = tuple(

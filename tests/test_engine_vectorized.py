@@ -143,6 +143,41 @@ class TestFunctionalDifferential:
         assert (scalar.bbv == vector.bbv).all()
         assert (scalar.segment_bbvs == vector.segment_bbvs).all()
 
+    def test_coarse_profile_order_sensitive_cells(self, small_workload):
+        # Every segment repeats the same three blocks (rep length 50, so
+        # each block's composition share is non-dyadic) and every bound
+        # cuts a segment mid-rep.  Each (instance, block) and (instance,
+        # sub-chunk, block) cell then sums a non-integer partial piece,
+        # integer whole pieces and a second non-integer partial piece,
+        # a sum whose last bit depends on the addition order.  The suite
+        # traces' one- and two-block segments rarely give a cell more
+        # than one non-integer term.
+        sizes = small_workload.program.block_sizes
+        blocks = [int(np.flatnonzero(sizes == size)[0]) for size in (6, 14, 30)]
+        rng = np.random.default_rng(0)
+        n_segments = 200
+        trace = Trace(small_workload, arrays={
+            "flat_blocks": np.concatenate(
+                [rng.permutation(blocks) for _ in range(n_segments)]
+            ),
+            "blocks_per_segment": np.full(n_segments, 3),
+            "reps": rng.integers(1, 10, size=n_segments),
+            "outer_index": np.full(n_segments, -1),
+            "iter_base": np.zeros(n_segments, dtype=np.int64),
+            "loop_id": np.full(n_segments, -1),
+        })
+        edges = np.linspace(7, trace.total_instructions - 7, 41)
+        edges = edges.astype(np.int64)
+        edges[edges % 50 == 0] += 1
+        bounds = np.stack([edges[:-1], edges[1:]], axis=1)
+        sim = FunctionalSimulator(trace)
+        scalar = reference.profile_coarse_intervals(
+            sim, n_segments=3, bounds=bounds
+        )
+        vector = sim.profile_coarse_intervals(n_segments=3, bounds=bounds)
+        assert (scalar.bbv == vector.bbv).all()
+        assert (scalar.segment_bbvs == vector.segment_bbvs).all()
+
     def test_structure_profile_identical(self, small_functional):
         assert reference.profile_structures(small_functional) == \
             small_functional.profile_structures()

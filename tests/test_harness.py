@@ -1,5 +1,7 @@
 """Tests for the experiment harness: cache, runner, tables, experiments."""
 
+import json
+
 import pytest
 
 from repro.config import CONFIG_A
@@ -166,6 +168,19 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         cache.put("k", {"a": 1})
         assert cache.get("k") == {"a": 1}
+
+    def test_file_is_json_dumps_of_wrapper(self, tmp_path):
+        from repro.harness.cache import CACHE_SCHEMA_VERSION
+
+        cache = ResultCache(tmp_path)
+        payload = {"cpi": [1.25, 0.1 + 0.2, 3e-17], "name": "gzip\u00e9",
+                   "nested": {"n": None, "ok": True, "ids": [1, 2]}}
+        cache.put("k", payload)
+        wrapper = {"version": CACHE_SCHEMA_VERSION, "key": "k",
+                   "payload": payload}
+        assert cache.path_for("k").read_bytes() == \
+            json.dumps(wrapper).encode()
+        assert cache.get("k") == payload
 
     def test_miss_returns_none(self, tmp_path):
         assert ResultCache(tmp_path).get("absent") is None

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import bic_score, cluster_with_bic, kmeans, select_k
+from repro.analysis import (
+    bic_score,
+    cluster_with_bic,
+    kmeans,
+    kmeans_sweep,
+    select_k,
+)
 from repro.errors import ClusteringError
 
 
@@ -55,6 +61,11 @@ class TestKMeans:
     def test_rejects_bad_k(self):
         with pytest.raises(ClusteringError):
             kmeans(np.zeros((5, 2)), 0)
+
+    @pytest.mark.parametrize("ks", [[], [3, 0, 2]])
+    def test_sweep_rejects_bad_ks(self, ks):
+        with pytest.raises(ClusteringError):
+            kmeans_sweep(np.zeros((5, 2)), ks)
 
 
 class TestBic:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplingError
+from repro.obs import ObsContext
+from repro.obs.export import TraceDump, format_trace_report
 from repro.sampling import Coasts, EarlySimPoint, MultiLevelSampler, SimPoint
 
 
@@ -143,6 +145,37 @@ class TestMultiLevel:
             small_trace, coarse_plan=coasts_plan
         )
         assert plan.detail_instructions < coasts_plan.detail_instructions
+
+    def test_sampling_span_times_each_resampled_point(
+        self, small_trace, test_sampling, coasts_plan
+    ):
+        obs = ObsContext()
+        plan = MultiLevelSampler(test_sampling, obs=obs).sample(
+            small_trace, benchmark="gzip", coarse_plan=coasts_plan
+        )
+        untraced = MultiLevelSampler(test_sampling).sample(
+            small_trace, benchmark="gzip", coarse_plan=coasts_plan
+        )
+        assert plan.points == untraced.points
+
+        (span,) = obs.tracer.roots
+        resampled = [p for p in plan.points if p.is_resampled]
+        assert resampled
+        assert span.name == "sampling"
+        assert span.attributes["method"] == "multilevel"
+        assert span.attributes["resampled_points"] == len(resampled)
+        assert len(span.children) == len(resampled)
+        for child, point in zip(span.children, resampled):
+            assert child.name == "resample"
+            assert child.attributes == {
+                "phase": point.phase, "size": point.size,
+                "k": len({leaf.phase for leaf in point.children}),
+            }
+        assert span.duration > 0
+        assert span.duration >= sum(c.duration for c in span.children)
+        report = format_trace_report(TraceDump(roots=obs.tracer.roots))
+        for point in resampled:
+            assert f"resample (phase={point.phase})" in report
 
     def test_huge_threshold_degenerates_to_coasts(self, small_trace,
                                                   test_sampling, coasts_plan):

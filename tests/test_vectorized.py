@@ -18,6 +18,7 @@ from repro.analysis import (
     concat_signatures,
     earliest_member,
     kmeans,
+    kmeans_sweep,
     nearest_to_centroid,
     normalize_rows,
     project_bbvs,
@@ -173,6 +174,64 @@ class TestKMeansDifferential:
         assert fast.k == slow.k
         assert np.array_equal(fast.labels, slow.labels)
         assert np.array_equal(fast.centroids, slow.centroids)
+
+
+def _few_distinct_rows(n, d, distinct, seed):
+    """*n* rows repeating *distinct* different rows: a seeding of more
+    than *distinct* centres runs out of positive-distance points and
+    takes k-means++'s ``total <= 0`` branch."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((distinct, d))
+    return base[rng.integers(distinct, size=n)]
+
+
+#: Sweeps whose k values share one seeding per stream:
+#: (data, kmax, ks override, n_seeds).
+SWEEP_CASES = {
+    "gapped_ks": (_dataset(60, 5, 11), 30, [3, 17, 30], 2),
+    "duplicate_rows": (_few_distinct_rows(40, 4, 6, 12), 12, None, 3),
+    "n_below_kmax": (_dataset(7, 3, 13), 12, None, 2),
+    "one_seed": (_dataset(45, 6, 14), 10, None, 1),
+}
+
+
+class TestSharedSeedingDifferential:
+    """One k-means++ seeding per stream, shared by every k of a sweep,
+    against the reference's fresh per-k seeding."""
+
+    @staticmethod
+    def _assert_same(fast, slow):
+        assert np.array_equal(fast.labels, slow.labels)
+        assert np.array_equal(fast.centroids, slow.centroids)
+        assert fast.inertia == slow.inertia
+        assert fast.inertia_history == slow.inertia_history
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_cluster_with_bic_bit_identical(self, case):
+        data, kmax, ks, n_seeds = SWEEP_CASES[case]
+        fast, fast_scores = cluster_with_bic(
+            data, kmax=kmax, seed=5, n_seeds=n_seeds, ks=ks
+        )
+        slow, slow_scores = reference.cluster_with_bic(
+            data, kmax=kmax, seed=5, n_seeds=n_seeds, ks=ks
+        )
+        assert fast_scores == slow_scores
+        self._assert_same(fast, slow)
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_every_k_matches_per_k_kmeans(self, case):
+        data, kmax, ks, n_seeds = SWEEP_CASES[case]
+        ks = ks or range(1, kmax + 1)
+        sweep = kmeans_sweep(data, ks, seed=5, n_seeds=n_seeds)
+        assert sorted(sweep) == sorted({min(k, len(data)) for k in ks})
+        for k, fast in sweep.items():
+            self._assert_same(
+                fast, reference.kmeans(data, k, seed=5, n_seeds=n_seeds)
+            )
+
+    def test_duplicate_case_reaches_zero_total_branch(self):
+        data, kmax, _, _ = SWEEP_CASES["duplicate_rows"]
+        assert len(np.unique(data, axis=0)) < kmax
 
 
 class TestSignatureDifferential:
